@@ -20,7 +20,6 @@
 #include "engine/cluster.h"
 #include "engine/event_loop.h"
 #include "engine/metrics.h"
-#include "engine/sharded_loop.h"
 #include "engine/txn_executor.h"
 #include "engine/workload_driver.h"
 #include "fault/fault_injector.h"
@@ -135,20 +134,6 @@ EngineRunResult RunEngineExperiment(const EngineRunConfig& config) {
   PSTORE_CHECK_OK(workload.LoadInitialData(&cluster));
 
   EventLoop loop;
-  // Node-sharded data plane (sim.engine_threads > 1): each node's
-  // transaction work runs in parallel between control events, with the
-  // barrier hook keeping every control event's view fully advanced.
-  // Serial runs skip the engine entirely — Submit stays inline, the
-  // byte-identical golden path.
-  std::unique_ptr<ShardedEngine> sharded;
-  const int engine_threads =
-      ResolveThreadCount(config.spec.sim.engine_threads);
-  if (engine_threads > 1) {
-    sharded = std::make_unique<ShardedEngine>(
-        &loop, cluster_options.max_nodes, engine_threads);
-    executor.EnableSharding(sharded.get());
-    sharded->InstallBarrierHook();
-  }
   // Paper-calibrated migration: ~250 kB/s sustained per pair with
   // 1000 kB chunks, giving D ~= 77 min for the ~1.1 GB database (§8.1).
   MigrationOptions migration_options;
@@ -258,12 +243,6 @@ EngineRunResult RunEngineExperiment(const EngineRunConfig& config) {
   const SimTime end = FromSeconds(config.replay_days * 1440 * 6.0);
   driver.Start(end);
   loop.RunUntil(end);
-  if (sharded != nullptr) {
-    // Run the tail of the final window and fold per-shard stats so the
-    // accessors below report exactly what a serial run would.
-    sharded->Flush();
-    executor.FoldShardStats();
-  }
 
   EngineRunResult result;
   result.windows = metrics.Finalize(end);

@@ -3,22 +3,13 @@
 // transactions are rare — it is why cap(N) = Q*N (Eq. 5) is a sound
 // model. This bench measures sustained throughput at a fixed per-machine
 // offered rate for growing cluster sizes (now up to 128 nodes, past the
-// paper's 10-machine testbed) and reports the scaling efficiency; a
-// second sweep holds the cluster at 100 nodes and varies the sharded
-// engine's worker count, reporting the wall-clock speedup of one run.
+// paper's 10-machine testbed) and reports the scaling efficiency.
 //
 // Results land in BENCH_ext_linear_scalability.json (override with
-// --bench-json=...). Honesty note, as with BENCH_micro_sweep: on a
-// single-hardware-thread CI box the engine-threads sweep is a flat line
-// — the >1-thread rows then measure barrier/pool overhead only, and the
-// committed-transaction determinism check is the interesting part. The
-// artifact records host.hardware_threads so readers can tell which case
-// they are looking at.
+// --bench-json=...).
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -29,12 +20,10 @@
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/sim_time.h"
-#include "common/thread_pool.h"
 #include "common/time_series.h"
 #include "engine/cluster.h"
 #include "engine/event_loop.h"
 #include "engine/metrics.h"
-#include "engine/sharded_loop.h"
 #include "engine/txn_executor.h"
 #include "engine/workload_driver.h"
 #include "obs/metrics_registry.h"
@@ -50,13 +39,10 @@ constexpr int kWarmupWindows = 20;
 struct RunResult {
   double completed_per_s = 0.0;
   double worst_p99_ms = 0.0;
-  int64_t committed = 0;
-  double wall_seconds = 0.0;
 };
 
-// One flat-rate run on `nodes` machines, with the engine sharded across
-// `engine_threads` workers (1 = the classic serial path).
-RunResult RunFlat(int nodes, int engine_threads) {
+// One flat-rate run on `nodes` machines.
+RunResult RunFlat(int nodes) {
   ClusterOptions cluster_options;
   cluster_options.partitions_per_node = 6;
   cluster_options.max_nodes = 128;
@@ -73,13 +59,6 @@ RunResult RunFlat(int nodes, int engine_threads) {
   PSTORE_CHECK_OK(workload.LoadInitialData(&cluster));
 
   EventLoop loop;
-  std::unique_ptr<ShardedEngine> engine;
-  if (engine_threads > 1) {
-    engine = std::make_unique<ShardedEngine>(&loop, cluster_options.max_nodes,
-                                             engine_threads);
-    executor.EnableSharding(engine.get());
-    engine->InstallBarrierHook();
-  }
 
   const double rate = kPerNodeRate * nodes;
   TimeSeries flat(1.0, std::vector<double>(kHorizonSeconds, rate));
@@ -92,19 +71,10 @@ RunResult RunFlat(int nodes, int engine_threads) {
       [&workload](Rng& rng) { return workload.NextTransaction(rng); },
       driver_options);
 
-  const auto wall_start = std::chrono::steady_clock::now();
   driver.Start(kHorizonSeconds * kSecond);
   loop.RunUntil(kHorizonSeconds * kSecond);
-  if (engine != nullptr) {
-    engine->Flush();
-    executor.FoldShardStats();
-  }
-  const std::chrono::duration<double> wall =
-      std::chrono::steady_clock::now() - wall_start;
 
   RunResult result;
-  result.committed = executor.committed_count();
-  result.wall_seconds = wall.count();
   const auto windows = metrics.Finalize(kHorizonSeconds * kSecond);
   int64_t completed = 0;
   int counted = 0;
@@ -125,7 +95,7 @@ int main(int argc, char** argv) {
   bench::PrintHeader(
       "Extension: linear scalability of the engine (the Eq. 5 premise)",
       "uniform single-key workload: throughput ~ Q x N with flat tail "
-      "latency, now to 128 nodes on the node-sharded engine");
+      "latency, up to 128 nodes");
 
   obs::MetricsRegistry registry;
   auto csv = bench::OpenCsv("ext_linear_scalability.csv");
@@ -134,12 +104,11 @@ int main(int argc, char** argv) {
                    "efficiency_percent", "worst_p99_ms"});
   }
 
-  // ---- Part 1: scaling curve (serial engine, the golden path) -------------
   std::printf("%8s %12s %12s %12s %12s\n", "nodes", "offered", "completed",
               "efficiency", "worst p99");
   double baseline = 0.0;
   for (const int nodes : {1, 2, 4, 8, 16, 32, 64, 100, 128}) {
-    const RunResult r = RunFlat(nodes, /*engine_threads=*/1);
+    const RunResult r = RunFlat(nodes);
     if (nodes == 1) baseline = r.completed_per_s;
     const double efficiency =
         100.0 * r.completed_per_s / (baseline * nodes);
@@ -156,43 +125,11 @@ int main(int argc, char** argv) {
     registry.GetGauge(prefix + "worst_p99_ms")->Set(r.worst_p99_ms);
   }
 
-  // ---- Part 2: engine-threads sweep at 100 nodes --------------------------
-  std::printf(
-      "\n%8s %12s %12s %12s\n", "threads", "wall s", "speedup", "committed");
-  double serial_wall = 0.0;
-  int64_t serial_committed = 0;
-  for (const int threads : {1, 2, 4, 8}) {
-    const RunResult r = RunFlat(/*nodes=*/100, threads);
-    if (threads == 1) {
-      serial_wall = r.wall_seconds;
-      serial_committed = r.committed;
-    } else {
-      // The determinism contract, checked in-bench: any worker count
-      // reproduces the serial run's transaction stream exactly.
-      PSTORE_CHECK(r.committed == serial_committed);
-    }
-    const double speedup = serial_wall / r.wall_seconds;
-    std::printf("%8d %12.2f %11.2fx %12lld\n", threads, r.wall_seconds,
-                speedup, static_cast<long long>(r.committed));
-    const std::string prefix =
-        "sharded.threads." + std::to_string(threads) + ".";
-    registry.GetGauge(prefix + "wall_seconds")->Set(r.wall_seconds);
-    registry.GetGauge(prefix + "speedup_x")->Set(speedup);
-    registry.GetGauge(prefix + "committed")
-        ->Set(static_cast<double>(r.committed));
-  }
-  const int hardware = ResolveThreadCount(0);
-  registry.GetGauge("host.hardware_threads")->Set(hardware);
-
   std::printf(
       "\nReading: efficiency stays ~100%% and tail latency flat as the "
       "cluster grows — the precondition for modeling capacity as Q x N "
       "(Eq. 5). Contrast with ablation_distributed_txns, where breaking "
-      "the single-key assumption destroys this. The threads sweep holds "
-      "the workload fixed at 100 nodes: identical committed counts are "
-      "the determinism guarantee; the speedup column is only meaningful "
-      "when host.hardware_threads > 1 (this host: %d).\n",
-      hardware);
+      "the single-key assumption destroys this.\n");
   bench::CloseCsv(csv.get());
 
   const std::string bench_json =

@@ -5,11 +5,13 @@
 // the paper's D (~77 minutes for the full database).
 
 #include <algorithm>
+#include <cmath>
+#include <cstddef>
+#include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <utility>
 #include <vector>
-
-#include "common/histogram.h"
 
 #include "b2w/procedures.h"
 #include "b2w/workload.h"
@@ -37,6 +39,18 @@ struct ChunkResult {
   double migration_seconds = 0.0;
   int violation_windows = 0;  // seconds with p99 > 500 ms
 };
+
+// Exact median of `values` in the nearest-rank sense: the k-th smallest
+// with k = max(1, round(n / 2)); 0 for an empty set.
+int64_t Median(std::vector<int64_t> values) {
+  if (values.empty()) return 0;
+  const size_t k = std::max<size_t>(
+      1, static_cast<size_t>(
+             std::llround(0.5 * static_cast<double>(values.size()))));
+  const auto kth = values.begin() + static_cast<std::ptrdiff_t>(k - 1);
+  std::nth_element(values.begin(), kth, values.end());
+  return *kth;
+}
 
 // Runs 1 -> 2 with the given chunk size at per-node rate Q-hat; the
 // total offered rate keeps the source machine at Q-hat as data drains.
@@ -104,18 +118,18 @@ ChunkResult RunChunkExperiment(int64_t chunk_bytes, bool migrate) {
   const size_t stats_end = migrate
                                ? static_cast<size_t>(result.migration_seconds)
                                : 120u;
-  Histogram p50s;
-  Histogram p99s;
+  std::vector<int64_t> p50s;
+  std::vector<int64_t> p99s;
   double max_p99 = 0.0;
   for (size_t w = 5; w < windows.size() && w < stats_end; ++w) {
     if (windows[w].completed == 0) continue;
-    p50s.Record(static_cast<int64_t>(windows[w].p50_ms * 1000));
-    p99s.Record(static_cast<int64_t>(windows[w].p99_ms * 1000));
+    p50s.push_back(static_cast<int64_t>(windows[w].p50_ms * 1000));
+    p99s.push_back(static_cast<int64_t>(windows[w].p99_ms * 1000));
     max_p99 = std::max(max_p99, windows[w].p99_ms);
     if (windows[w].p99_ms > 500.0) ++result.violation_windows;
   }
-  result.p50_ms = static_cast<double>(p50s.ValueAtQuantile(0.5)) / 1000.0;
-  result.p99_ms = static_cast<double>(p99s.ValueAtQuantile(0.5)) / 1000.0;
+  result.p50_ms = static_cast<double>(Median(std::move(p50s))) / 1000.0;
+  result.p99_ms = static_cast<double>(Median(std::move(p99s))) / 1000.0;
   result.max_p99_ms = max_p99;
   return result;
 }

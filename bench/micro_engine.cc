@@ -1,6 +1,7 @@
 // Microbenchmarks for the simulated engine: transaction submission
-// throughput (the hot path of every experiment), routing cost, and
-// bucket handoff.
+// throughput (the hot path of every experiment, inline from
+// WorkloadDriver::Tick) with and without a tracer attached, key hashing,
+// the transaction factory alone, and bucket handoff.
 
 #include <benchmark/benchmark.h>
 
@@ -12,10 +13,8 @@
 #include "common/rng.h"
 #include "common/sim_time.h"
 #include "engine/cluster.h"
-#include "engine/event_loop.h"
 #include "engine/metrics.h"
 #include "engine/murmur_hash.h"
-#include "engine/sharded_loop.h"
 #include "engine/txn_executor.h"
 #include "micro_util.h"
 #include "obs/tracer.h"
@@ -95,45 +94,6 @@ void BM_TxnSubmitTraced(benchmark::State& state) {
       static_cast<double>(tracer.events_emitted());
 }
 BENCHMARK(BM_TxnSubmitTraced)->Arg(0)->Arg(1);
-
-// The same hot path through the node-sharded engine: the serial control
-// thread runs the routing/health/RNG skeleton and defers the execution
-// body to the owning node's shard, with a window barrier (Flush) every
-// 256 submissions — roughly the control-event cadence of a real run.
-// Compare against BM_TxnSubmit for the sharding overhead at a given
-// worker count; on a single-hardware-thread host the >1-thread rows
-// measure pure barrier/queue cost.
-void BM_ShardedSubmit(benchmark::State& state) {
-  Cluster cluster(BenchCluster());
-  MetricsCollector metrics;
-  TxnExecutor executor(&cluster, &metrics, ExecutorOptions{});
-  PSTORE_CHECK(b2w::RegisterProcedures(&executor).ok());
-  b2w::B2wWorkloadOptions workload_options;
-  workload_options.cart_pool = 100000;
-  workload_options.checkout_pool = 40000;
-  b2w::Workload workload(workload_options);
-  PSTORE_CHECK(workload.LoadInitialData(&cluster).ok());
-  EventLoop loop;
-  ShardedEngine engine(&loop, BenchCluster().max_nodes,
-                       static_cast<int>(state.range(0)));
-  executor.EnableSharding(&engine);
-  Rng rng(1);
-  SimTime now = 0;
-  int in_window = 0;
-  for (auto _ : state) {
-    now += 300;  // ~3333 txn/s offered
-    executor.SubmitSharded(workload.NextTransaction(rng), now);
-    if (++in_window == 256) {
-      engine.Flush();
-      in_window = 0;
-    }
-  }
-  engine.Flush();
-  executor.FoldShardStats();
-  state.SetItemsProcessed(state.iterations());
-  state.counters["barriers"] = static_cast<double>(engine.barriers());
-}
-BENCHMARK(BM_ShardedSubmit)->Arg(2)->Arg(4);
 
 void BM_TxnFactoryOnly(benchmark::State& state) {
   b2w::Workload workload(b2w::B2wWorkloadOptions{});

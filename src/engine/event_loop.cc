@@ -25,7 +25,6 @@ void EventLoop::RunUntil(SimTime end) {
     Event event = std::move(const_cast<Event&>(queue_.top()));
     queue_.pop();
     now_ = event.when;
-    if (pre_event_hook_) pre_event_hook_();
     event.callback();
   }
   now_ = end;
@@ -36,7 +35,6 @@ void EventLoop::RunToCompletion() {
     Event event = std::move(const_cast<Event&>(queue_.top()));
     queue_.pop();
     now_ = event.when;
-    if (pre_event_hook_) pre_event_hook_();
     event.callback();
   }
 }

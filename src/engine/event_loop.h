@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <functional>
 #include <queue>
-#include <utility>
 #include <vector>
 
 #include "common/sim_time.h"
@@ -42,15 +41,6 @@ class EventLoop {
   // Runs everything. Use only when the event graph is known to be finite.
   void RunToCompletion();
 
-  // Installs a hook invoked immediately before each event callback, in
-  // both RunUntil and RunToCompletion, after now() has advanced to the
-  // event's timestamp. ShardedEngine installs its window barrier here so
-  // every event on this loop observes fully-advanced shards. Pass
-  // nullptr to clear.
-  void set_pre_event_hook(Callback hook) {
-    pre_event_hook_ = std::move(hook);
-  }
-
   size_t pending_events() const { return queue_.size(); }
 
  private:
@@ -68,7 +58,6 @@ class EventLoop {
 
   SimTime now_ = 0;
   uint64_t next_seq_ = 0;
-  Callback pre_event_hook_;  // null unless sharding is active
   std::priority_queue<Event, std::vector<Event>, EventLater> queue_;
 };
 

@@ -69,17 +69,6 @@ SimTime WindowHistogram::ValueAtQuantile(double q) const {
   return max_;
 }
 
-void WindowHistogram::MergeFrom(const WindowHistogram& other) {
-  const uint64_t kSaturated = std::numeric_limits<uint32_t>::max();
-  for (int i = 0; i < kNumBuckets; ++i) {
-    const uint64_t sum = static_cast<uint64_t>(buckets_[i]) +
-                         static_cast<uint64_t>(other.buckets_[i]);
-    buckets_[i] = static_cast<uint32_t>(std::min(sum, kSaturated));
-  }
-  count_ += other.count_;
-  max_ = std::max(max_, other.max_);
-}
-
 MetricsCollector::MetricsCollector(double window_seconds)
     : window_seconds_(window_seconds),
       window_duration_(FromSeconds(window_seconds)) {
@@ -115,23 +104,6 @@ void MetricsCollector::RecordUnavailable(SimTime now) {
   EnsureWindow(window);
   ++submitted_[window];
   ++unavailable_[window];
-}
-
-void MetricsCollector::MergeFrom(const MetricsCollector& other) {
-  PSTORE_CHECK(window_duration_ == other.window_duration_);
-  // Step series live only in the control-plane collector; a per-shard
-  // collector that grew one indicates mis-wired sharding glue.
-  PSTORE_CHECK(other.machine_steps_.empty());
-  PSTORE_CHECK(other.migration_steps_.empty());
-  PSTORE_CHECK(other.fault_steps_.empty());
-  if (other.latency_.empty()) return;
-  EnsureWindow(other.latency_.size() - 1);
-  for (size_t i = 0; i < other.latency_.size(); ++i) {
-    latency_[i].MergeFrom(other.latency_[i]);
-    submitted_[i] += other.submitted_[i];
-    completed_[i] += other.completed_[i];
-    unavailable_[i] += other.unavailable_[i];
-  }
 }
 
 void MetricsCollector::RecordMachines(SimTime now, int machines) {

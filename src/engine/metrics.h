@@ -30,13 +30,6 @@ class WindowHistogram {
   // Latency (in SimTime us) at the given quantile; upper bucket edge.
   SimTime ValueAtQuantile(double q) const;
 
-  // Adds `other`'s distribution into this histogram (bucketwise, with
-  // the same saturating arithmetic as Record). Saturating addition of
-  // non-negative values yields min(UINT32_MAX, true sum) under any
-  // grouping, so merging is associative and commutative: per-shard
-  // histograms merge to the same result as recording into one.
-  void MergeFrom(const WindowHistogram& other);
-
  private:
   static int BucketFor(SimTime latency);
   static SimTime UpperEdge(int bucket);
@@ -106,13 +99,6 @@ class MetricsCollector {
   void RecordMigrationActive(SimTime now, bool active);
   // Fault step series: true while at least one injected fault is active.
   void RecordFaultActive(SimTime now, bool active);
-
-  // Adds `other`'s per-window txn counters and latency histograms into
-  // this collector. Both must use the same window duration, and `other`
-  // must carry no step series (machines/migration/fault live only in
-  // the control-plane collector; per-shard collectors hold txn data
-  // exclusively). Used to fold per-shard metrics after a sharded run.
-  void MergeFrom(const MetricsCollector& other);
 
   // Summarizes all windows up to `end`. Call once after the run.
   std::vector<WindowStats> Finalize(SimTime end) const;

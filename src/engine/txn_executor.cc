@@ -1,7 +1,6 @@
 #include "engine/txn_executor.h"
 
 #include <algorithm>
-#include <array>
 #include <string>
 
 #include "common/logging.h"
@@ -10,7 +9,6 @@
 #include "engine/cluster.h"
 #include "engine/metrics.h"
 #include "engine/partition.h"
-#include "engine/sharded_loop.h"
 #include "engine/transaction.h"
 #include "obs/tracer.h"
 
@@ -192,222 +190,6 @@ TxnResult TxnExecutor::Submit(const TxnRequest& request, SimTime now) {
                    .With("distributed", false)
                    .With("latency_us", completion - now));
   return result;
-}
-
-void TxnExecutor::EnableSharding(ShardedEngine* engine) {
-  PSTORE_CHECK(engine != nullptr);
-  // A serial engine would add indirection without parallelism; the
-  // threads == 1 golden path stays on the classic inline Submit().
-  PSTORE_CHECK(!engine->serial());
-  PSTORE_CHECK(engine_ == nullptr);
-  engine_ = engine;
-  const double window =
-      metrics_ != nullptr ? metrics_->window_seconds() : 1.0;
-  const int num_shards = engine->num_shards();
-  shards_.reserve(static_cast<size_t>(num_shards));
-  for (int i = 0; i < num_shards; ++i) shards_.emplace_back(window);
-}
-
-void TxnExecutor::CountShardOutcome(ShardState& shard, ProcedureId id,
-                                    const TxnResult& result) {
-  if (result.status == TxnStatus::kCommitted) {
-    ++shard.committed;
-    ++shard.procedure_stats[id].committed;
-  } else {
-    ++shard.aborted;
-    ++shard.procedure_stats[id].aborted;
-  }
-}
-
-void TxnExecutor::SendTxnTrace(int shard, SimTime now, ProcedureId proc,
-                               const TxnResult& result, bool distributed,
-                               SimTime completion) {
-  const bool committed = result.status == TxnStatus::kCommitted;
-  const SimTime latency = completion - now;
-  engine_->Send(shard, ShardedEngine::kControlPlane, now,
-                [this, now, proc, committed, distributed, latency] {
-                  PSTORE_TRACE(tracer_, ::pstore::obs::TraceCategory::kVerbose,
-                               now, "engine.txn",
-                               .With("proc", proc)
-                                   .With("committed", committed)
-                                   .With("distributed", distributed)
-                                   .With("latency_us", latency));
-                });
-}
-
-void TxnExecutor::SubmitSharded(const TxnRequest& request, SimTime now) {
-  PSTORE_DCHECK(engine_ != nullptr);
-  ++submitted_count_;
-  if (request.procedure >= kMaxProcedures ||
-      (handlers_[request.procedure] == nullptr &&
-       multi_handlers_[request.procedure] == nullptr)) {
-    ++aborted_count_;
-    return;
-  }
-  if (multi_handlers_[request.procedure] != nullptr) {
-    if (request.num_extra_keys < 0 ||
-        request.num_extra_keys > kMaxTxnKeys - 1) {
-      ++aborted_count_;
-      return;
-    }
-    SubmitMultiSharded(request, now);
-    return;
-  }
-
-  const BucketId bucket = cluster_->BucketForKey(request.key);
-  const int partition_id = cluster_->PartitionOfBucket(bucket);
-  const int node = cluster_->NodeOfPartition(partition_id);
-  if (!cluster_->IsNodeUp(node)) {
-    ++unavailable_count_;
-    if (metrics_ != nullptr) metrics_->RecordUnavailable(now);
-    CountOutcome(request.procedure, TxnResult{TxnStatus::kUnavailable, 0});
-    return;
-  }
-  // The serial path draws the service time after the handler runs, but
-  // handlers never touch rng_, so drawing here keeps the stream position
-  // identical while leaving the deferred body RNG-free.
-  const double mean =
-      options_.mean_service_seconds * service_scale_[request.procedure];
-  const SimTime service = FromSeconds(rng_.NextExponential(mean));
-  Partition* partition = &cluster_->partition(partition_id);
-  const bool want_trace =
-      tracer_ != nullptr && tracer_->enabled(obs::TraceCategory::kVerbose);
-  engine_->Post(
-      node, now,
-      [this, request, now, service, partition, bucket, node, want_trace] {
-        partition->RecordAccess(bucket);
-        TxnContext context;
-        context.partition = partition;
-        context.bucket = bucket;
-        context.key = request.key;
-        context.arg = request.arg;
-        const TxnResult result = handlers_[request.procedure](context);
-        const SimTime completion = partition->Submit(now, service);
-        ShardState& shard = shards_[static_cast<size_t>(node)];
-        shard.metrics.RecordTxn(now, completion);
-        CountShardOutcome(shard, request.procedure, result);
-        if (want_trace) {
-          SendTxnTrace(node, now, request.procedure, result, false,
-                       completion);
-        }
-      });
-}
-
-void TxnExecutor::SubmitMultiSharded(const TxnRequest& request, SimTime now) {
-  const int num_keys = 1 + request.num_extra_keys;
-  std::array<BucketId, kMaxTxnKeys> buckets = {};
-  std::array<int, kMaxTxnKeys> partition_ids = {};
-  for (int i = 0; i < num_keys; ++i) {
-    const uint64_t key = i == 0 ? request.key : request.extra_keys[i - 1];
-    buckets[i] = cluster_->BucketForKey(key);
-    partition_ids[i] = cluster_->PartitionOfBucket(buckets[i]);
-    if (!cluster_->IsNodeUp(cluster_->NodeOfPartition(partition_ids[i]))) {
-      // The serial path records accesses for the keys it routed before
-      // hitting the down node (see SubmitMulti); replay exactly those on
-      // their shards before failing fast.
-      for (int j = 0; j < i; ++j) {
-        Partition* partition = &cluster_->partition(partition_ids[j]);
-        const BucketId bucket = buckets[j];
-        engine_->Post(cluster_->NodeOfPartition(partition_ids[j]), now,
-                      [partition, bucket] { partition->RecordAccess(bucket); });
-      }
-      ++unavailable_count_;
-      if (metrics_ != nullptr) metrics_->RecordUnavailable(now);
-      CountOutcome(request.procedure, TxnResult{TxnStatus::kUnavailable, 0});
-      return;
-    }
-  }
-
-  const int home = cluster_->NodeOfPartition(partition_ids[0]);
-  bool cross_node = false;
-  for (int i = 1; i < num_keys; ++i) {
-    if (cluster_->NodeOfPartition(partition_ids[i]) != home) cross_node = true;
-  }
-  if (cross_node) {
-    // Participants span shards: synchronize everything to `now` and run
-    // the classic inline path. RNG draws still happen in arrival order
-    // and metrics/counters land in the control-plane collector, exactly
-    // the monolithic behavior. §4.2's "few distributed transactions"
-    // assumption is what keeps this barrier rare.
-    engine_->Flush();
-    SubmitMulti(request, now);
-    return;
-  }
-
-  // All keys on one node: the whole transaction defers to that shard,
-  // including the multi-partition (same-node "distributed") case — the
-  // shard owns every participant partition.
-  bool distributed = false;
-  for (int i = 1; i < num_keys; ++i) {
-    if (partition_ids[i] != partition_ids[0]) distributed = true;
-  }
-  if (distributed) ++distributed_count_;
-
-  const double base_mean =
-      options_.mean_service_seconds * service_scale_[request.procedure];
-  const double mean =
-      distributed ? base_mean * (1.0 + options_.two_pc_overhead) : base_mean;
-  // Pre-draw the per-distinct-partition service times in key order,
-  // mirroring the serial loop (handlers are RNG-free, so the stream
-  // position matches).
-  std::array<SimTime, kMaxTxnKeys> services = {};
-  std::array<bool, kMaxTxnKeys> duplicate = {};
-  std::array<Partition*, kMaxTxnKeys> partitions = {};
-  for (int i = 0; i < num_keys; ++i) {
-    partitions[i] = &cluster_->partition(partition_ids[i]);
-    for (int j = 0; j < i; ++j) {
-      if (partition_ids[j] == partition_ids[i]) duplicate[i] = true;
-    }
-    if (!duplicate[i]) services[i] = FromSeconds(rng_.NextExponential(mean));
-  }
-  const bool want_trace =
-      tracer_ != nullptr && tracer_->enabled(obs::TraceCategory::kVerbose);
-  engine_->Post(
-      home, now,
-      [this, request, now, num_keys, buckets, partitions, services, duplicate,
-       distributed, home, want_trace] {
-        TxnContext contexts[kMaxTxnKeys];
-        for (int i = 0; i < num_keys; ++i) {
-          contexts[i].partition = partitions[i];
-          contexts[i].bucket = buckets[i];
-          contexts[i].key = i == 0 ? request.key : request.extra_keys[i - 1];
-          contexts[i].arg = request.arg;
-          contexts[i].partition->RecordAccess(buckets[i]);
-        }
-        const TxnResult result =
-            multi_handlers_[request.procedure](contexts, num_keys);
-        SimTime completion = 0;
-        for (int i = 0; i < num_keys; ++i) {
-          if (duplicate[i]) continue;
-          completion =
-              std::max(completion, partitions[i]->Submit(now, services[i]));
-        }
-        if (distributed) {
-          completion += FromSeconds(options_.coordination_delay_seconds);
-        }
-        ShardState& shard = shards_[static_cast<size_t>(home)];
-        shard.metrics.RecordTxn(now, completion);
-        CountShardOutcome(shard, request.procedure, result);
-        if (want_trace) {
-          SendTxnTrace(home, now, request.procedure, result, distributed,
-                       completion);
-        }
-      });
-}
-
-void TxnExecutor::FoldShardStats() {
-  if (engine_ == nullptr) return;
-  PSTORE_CHECK(!folded_);
-  folded_ = true;
-  for (ShardState& shard : shards_) {
-    if (metrics_ != nullptr) metrics_->MergeFrom(shard.metrics);
-    committed_count_ += shard.committed;
-    aborted_count_ += shard.aborted;
-    for (int i = 0; i < kMaxProcedures; ++i) {
-      procedure_stats_[i].committed += shard.procedure_stats[i].committed;
-      procedure_stats_[i].aborted += shard.procedure_stats[i].aborted;
-    }
-  }
 }
 
 }  // namespace pstore

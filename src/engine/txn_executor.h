@@ -3,7 +3,6 @@
 
 #include <array>
 #include <cstdint>
-#include <vector>
 
 #include "common/rng.h"
 #include "common/sim_time.h"
@@ -14,8 +13,6 @@
 #include "obs/tracer.h"
 
 namespace pstore {
-
-class ShardedEngine;
 
 // Execution-cost model for transactions. The paper adds a small
 // artificial delay per transaction so that a 6-partition server
@@ -58,32 +55,6 @@ class TxnExecutor {
   // the procedure's logical result; timing lands in the metrics.
   TxnResult Submit(const TxnRequest& request, SimTime now);
 
-  // --- Node-sharded execution (see engine/sharded_loop.h) ---------------
-
-  // Routes subsequent SubmitSharded calls through `engine`: per-node
-  // transaction work is deferred to the owning node's shard and runs in
-  // parallel between control events; cross-node multi-key transactions
-  // synchronize with engine->Flush() and take the classic inline path.
-  // Requires a non-serial engine — with 1 thread callers keep using
-  // Submit(), the byte-identical golden path. Call before the run
-  // starts, once.
-  void EnableSharding(ShardedEngine* engine);
-  bool sharding_enabled() const { return engine_ != nullptr; }
-
-  // Sharded counterpart of Submit(): the control-plane skeleton (RNG
-  // draws, routing, health checks, unavailable accounting) runs inline
-  // in monolithic submission order, and the node-local body (handler,
-  // FIFO service accounting, per-shard metrics) is deferred to the
-  // owning shard, executing no later than the next control event. The
-  // logical TxnResult is therefore not returned; outcome counters on
-  // this object exclude shard-side outcomes until FoldShardStats().
-  void SubmitSharded(const TxnRequest& request, SimTime now);
-
-  // Folds per-shard metrics and outcome counters into the main
-  // collector/counters so accessors report exactly what a serial run
-  // would. Call exactly once, after the final engine Flush().
-  void FoldShardStats();
-
   int64_t submitted_count() const { return submitted_count_; }
   int64_t committed_count() const { return committed_count_; }
   int64_t aborted_count() const { return aborted_count_; }
@@ -111,27 +82,8 @@ class TxnExecutor {
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
  private:
-  // Outcome counters and metrics accumulated by one shard's deferred
-  // bodies; written only by tasks running on that shard, folded into
-  // the main counters by FoldShardStats().
-  struct ShardState {
-    explicit ShardState(double window_seconds) : metrics(window_seconds) {}
-    MetricsCollector metrics;
-    int64_t committed = 0;
-    int64_t aborted = 0;
-    std::array<ProcedureStats, kMaxProcedures> procedure_stats = {};
-  };
-
   TxnResult SubmitMulti(const TxnRequest& request, SimTime now);
-  void SubmitMultiSharded(const TxnRequest& request, SimTime now);
   void CountOutcome(ProcedureId id, const TxnResult& result);
-  static void CountShardOutcome(ShardState& shard, ProcedureId id,
-                                const TxnResult& result);
-  // Sends the kVerbose engine.txn event through the mailbox so the
-  // single-threaded tracer only ever runs on the control thread.
-  void SendTxnTrace(int shard, SimTime now, ProcedureId proc,
-                    const TxnResult& result, bool distributed,
-                    SimTime completion);
 
   Cluster* cluster_;
   MetricsCollector* metrics_;
@@ -147,9 +99,6 @@ class TxnExecutor {
   int64_t unavailable_count_ = 0;
   std::array<ProcedureStats, kMaxProcedures> procedure_stats_ = {};
   obs::Tracer* tracer_ = nullptr;
-  ShardedEngine* engine_ = nullptr;  // null = classic serial execution
-  std::vector<ShardState> shards_;
-  bool folded_ = false;
 };
 
 }  // namespace pstore

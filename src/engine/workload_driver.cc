@@ -61,7 +61,6 @@ void WorkloadDriver::Tick() {
   if (tick_start >= end_time_) return;
   const SimTime tick_end = tick_start + kSecond;
 
-  const bool sharded = executor_->sharding_enabled();
   // Piecewise-constant Poisson process: the offered rate changes at
   // trace-slot boundaries, which fall inside a tick whenever
   // slot_sim_seconds is fractional — sampling once at tick_start would
@@ -80,11 +79,7 @@ void WorkloadDriver::Tick() {
           seg_start + FromSeconds(rng_.NextExponential(mean_gap_seconds));
       while (t < seg_end && t < end_time_) {
         const TxnRequest request = factory_(rng_);
-        if (sharded) {
-          executor_->SubmitSharded(request, t);
-        } else {
-          executor_->Submit(request, t);
-        }
+        executor_->Submit(request, t);
         ++arrivals_generated_;
         ++arrivals;
         t += FromSeconds(rng_.NextExponential(mean_gap_seconds));

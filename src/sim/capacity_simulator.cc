@@ -312,6 +312,9 @@ StatusOr<SimResult> CapacitySimulator::RunReactive(
           std::max(nodes + 1,
                    static_cast<int>(std::ceil(
                        load * (1.0 + params.headroom) / options_.q))));
+      // Already at max_nodes: nothing to add, so ride out the overload
+      // (its slots count as insufficient) instead of a no-op move.
+      if (target == nodes) return;
       run.StartMove(target,
                     planner.MoveSlots(NodeCount(nodes), NodeCount(target)));
     } else if (nodes > 1 &&

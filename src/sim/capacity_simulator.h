@@ -71,14 +71,6 @@ struct SimOptions {
   // Simulated duration of one fine slot, used only to timestamp trace
   // events (the paper's traces are per-minute).
   double fine_slot_sim_seconds = 60.0;
-  // Worker threads for the node-sharded discrete-event engine
-  // (engine/sharded_loop.h), used by engine-backed runs (bench_util's
-  // RunEngineExperiment, pstore_chaos drills): 1 (the default) keeps the
-  // classic serial EventLoop — the byte-identical golden path — and
-  // values < 1 resolve to the hardware concurrency. Any value produces
-  // bit-identical output; threads only change wall-clock time. The
-  // analytic capacity simulator itself has no engine and ignores this.
-  int engine_threads = 1;
 };
 
 // Reactive-baseline knobs (same semantics as ReactiveController: the

@@ -218,6 +218,25 @@ TEST(CapacitySimTest, EffectiveCapacitySeriesCoversEvalWindow) {
   }
 }
 
+TEST(CapacitySimTest, ReactiveAtMaxNodesRidesOutOverload) {
+  // Regression: with the cluster already at max_nodes, an overload
+  // clamped the scale-out target to the current size and the reactive
+  // strategy CHECK-aborted starting a move to where it already was. It
+  // must start no move and count the overloaded slots as insufficient.
+  SimOptions options = TestOptions(0);
+  options.initial_nodes = 4;
+  options.max_nodes = 4;
+  options.eval_begin = 10;
+  const CapacitySimulator sim(options);
+  const TimeSeries trace(60.0,
+                         std::vector<double>(100, 2.0 * 4 * options.q_hat));
+  StatusOr<SimResult> result = sim.RunReactive(trace, ReactiveSimParams{});
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->reconfigurations, 0);
+  EXPECT_EQ(result->insufficient_slots, 90);
+  EXPECT_NEAR(result->machine_slots, 4.0 * 90, 1e-9);
+}
+
 TEST(CapacitySimTest, RejectsTraceShorterThanEvalBegin) {
   const CapacitySimulator sim(TestOptions(7));
   TimeSeries tiny(60.0, std::vector<double>(100, 1.0));

@@ -118,28 +118,6 @@ TEST(EventLoopTest, ScheduleAfterAnEarlyDrainAnchorsAtTheBoundary) {
   EXPECT_EQ(fired_at, 510);
 }
 
-TEST(EventLoopTest, PreEventHookRunsBeforeEveryEvent) {
-  // The sharded engine installs its window barrier as the pre-event
-  // hook: it must run once per event, after the clock has advanced to
-  // the event's time but before its callback, in both run modes.
-  EventLoop loop;
-  std::vector<SimTime> hook_times;
-  std::vector<int> order;
-  loop.set_pre_event_hook([&] {
-    hook_times.push_back(loop.now());
-    order.push_back(0);
-  });
-  loop.ScheduleAt(10, [&] { order.push_back(1); });
-  loop.ScheduleAt(20, [&] { order.push_back(2); });
-  loop.RunUntil(15);
-  loop.RunToCompletion();
-  EXPECT_EQ(hook_times, (std::vector<SimTime>{10, 20}));
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 0, 2}));
-  // An empty-queue time advance has no events, hence no hook firing.
-  loop.RunUntil(100);
-  EXPECT_EQ(hook_times.size(), 2u);
-}
-
 TEST(EventLoopTest, TiesScheduledFromRunningEventsStayFifo) {
   // Events scheduled for an already-reached timestamp from inside a
   // running event run after earlier same-timestamp events, in the order

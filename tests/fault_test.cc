@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
+#include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "b2w/procedures.h"
@@ -533,6 +536,36 @@ TEST(FaultRecoveryTest, ControllerReplansAfterPermanentMoveFailure) {
 
 // ---- End-to-end determinism ------------------------------------------------
 
+// Serializes every window plus the executor/migration counters with full
+// float precision, so two runs compare bit-for-bit.
+std::string Snapshot(const std::vector<WindowStats>& windows,
+                     const TxnExecutor& executor,
+                     const MigrationManager& migration) {
+  std::string out;
+  char buf[256];
+  for (const WindowStats& w : windows) {
+    std::snprintf(buf, sizeof(buf),
+                  "%lld/%lld/%lld %.17g/%.17g/%.17g m%d g%d f%d\n",
+                  static_cast<long long>(w.submitted),
+                  static_cast<long long>(w.completed),
+                  static_cast<long long>(w.unavailable), w.p50_ms, w.p95_ms,
+                  w.p99_ms, w.machines, w.migrating ? 1 : 0, w.fault ? 1 : 0);
+    out += buf;
+  }
+  std::snprintf(buf, sizeof(buf),
+                "ctr %lld/%lld/%lld/%lld/%lld mig %lld/%lld/%lld\n",
+                static_cast<long long>(executor.submitted_count()),
+                static_cast<long long>(executor.committed_count()),
+                static_cast<long long>(executor.aborted_count()),
+                static_cast<long long>(executor.distributed_count()),
+                static_cast<long long>(executor.unavailable_count()),
+                static_cast<long long>(migration.reconfigurations_completed()),
+                static_cast<long long>(migration.reconfigurations_failed()),
+                static_cast<long long>(migration.chunk_retries().value()));
+  out += buf;
+  return out;
+}
+
 // Acceptance scenario (c): the same seed reproduces the identical fault
 // stream and, run against the identical engine setup, the identical
 // final window statistics.
@@ -562,17 +595,14 @@ TEST(FaultDeterminismTest, SameSeedSameWindows) {
     harness.driver->Start(100 * 6 * kSecond);
     harness.loop.RunUntil(100 * 6 * kSecond);
 
-    return std::make_tuple(schedule.events(),
-                           harness.metrics.Finalize(100 * 6 * kSecond),
-                           harness.executor.committed_count(),
-                           harness.executor.unavailable_count(),
-                           harness.migration.chunk_retries());
+    return std::make_pair(
+        schedule.events(),
+        Snapshot(harness.metrics.Finalize(100 * 6 * kSecond),
+                 harness.executor, harness.migration));
   };
 
-  const auto [events_a, windows_a, committed_a, unavailable_a, retries_a] =
-      run(7);
-  const auto [events_b, windows_b, committed_b, unavailable_b, retries_b] =
-      run(7);
+  const auto [events_a, snapshot_a] = run(7);
+  const auto [events_b, snapshot_b] = run(7);
 
   ASSERT_FALSE(events_a.empty());
   ASSERT_EQ(events_a.size(), events_b.size());
@@ -582,19 +612,104 @@ TEST(FaultDeterminismTest, SameSeedSameWindows) {
     EXPECT_EQ(events_a[i].node, events_b[i].node);
   }
 
-  EXPECT_EQ(committed_a, committed_b);
-  EXPECT_EQ(unavailable_a, unavailable_b);
-  EXPECT_EQ(retries_a, retries_b);
-  ASSERT_EQ(windows_a.size(), windows_b.size());
-  for (size_t i = 0; i < windows_a.size(); ++i) {
-    EXPECT_EQ(windows_a[i].submitted, windows_b[i].submitted) << "window " << i;
-    EXPECT_EQ(windows_a[i].completed, windows_b[i].completed) << "window " << i;
-    EXPECT_EQ(windows_a[i].unavailable, windows_b[i].unavailable)
-        << "window " << i;
-    EXPECT_EQ(windows_a[i].p99_ms, windows_b[i].p99_ms) << "window " << i;
-    EXPECT_EQ(windows_a[i].machines, windows_b[i].machines) << "window " << i;
-    EXPECT_EQ(windows_a[i].fault, windows_b[i].fault) << "window " << i;
-  }
+  // Every window and counter of the full stack (B2W workload, oracle
+  // predictive controller, live migration, crashes mid-run) reproduces
+  // bit-for-bit.
+  EXPECT_EQ(snapshot_a, snapshot_b);
+  EXPECT_NE(snapshot_a.find(" f1\n"), std::string::npos);
+  EXPECT_EQ(snapshot_a.find(" mig 0/"), std::string::npos);
+}
+
+// Runs the full stack on the serial engine: B2W workload on a 300 -> 900
+// txn/s step trace, oracle predictive controller, live migration, and a
+// scripted crash of node 1 from t = 50 s to t = 70 s.
+std::string RunGoldenStack() {
+  ClusterOptions cluster_options;
+  cluster_options.partitions_per_node = 6;
+  cluster_options.max_nodes = 10;
+  cluster_options.initial_nodes = 2;
+  cluster_options.num_buckets = 1200;
+  Cluster cluster(cluster_options);
+
+  MetricsCollector metrics(1.0);
+  TxnExecutor executor(&cluster, &metrics, ExecutorOptions{});
+  PSTORE_CHECK_OK(b2w::RegisterProcedures(&executor));
+  b2w::B2wWorkloadOptions workload_options;
+  workload_options.cart_pool = 20000;
+  workload_options.checkout_pool = 8000;
+  b2w::Workload workload(workload_options);
+  PSTORE_CHECK_OK(workload.LoadInitialData(&cluster));
+
+  EventLoop loop;
+  MigrationOptions migration_options;
+  migration_options.net_rate_bytes_per_sec = 200e3;
+  migration_options.chunk_spacing_seconds = 0.5;
+  migration_options.chunk_bytes = 256 * 1024;
+  migration_options.extract_rate_bytes_per_sec = 20e6;
+  migration_options.max_chunk_retries = 3;
+  migration_options.retry_backoff_seconds = 0.5;
+  MigrationManager migration(&loop, &cluster, &metrics, migration_options);
+
+  TimeSeries trace(6.0);
+  for (int i = 0; i < 40; ++i) trace.Append(i < 20 ? 300.0 : 900.0);
+
+  DriverOptions driver_options;
+  driver_options.slot_sim_seconds = 6.0;
+  driver_options.rate_factor = 1.0;
+  driver_options.seed = 21;
+  WorkloadDriver driver(
+      &loop, &executor, trace,
+      [&workload](Rng& rng) { return workload.NextTransaction(rng); },
+      driver_options);
+  metrics.RecordMachines(0, cluster.active_nodes());
+
+  FaultInjector injector(&loop, &cluster, &metrics,
+                         FaultSchedule::Scripted({
+                             MakeEvent(50.0, FaultKind::kNodeCrash, 1),
+                             MakeEvent(70.0, FaultKind::kNodeRecover, 1),
+                         }));
+  migration.set_fault_hook(&injector);
+  injector.Arm();
+
+  OnlinePredictorOptions predictor_options;
+  predictor_options.inflation = 1.1;
+  predictor_options.refit_interval = 1u << 30;
+  predictor_options.training_window = 10;
+  OnlinePredictor oracle(std::make_unique<OraclePredictor>(trace),
+                         predictor_options);
+  PSTORE_CHECK_OK(oracle.Warmup(trace.Slice(0, 1)));
+
+  PredictiveControllerOptions controller_options;
+  controller_options.slot_sim_seconds = 6.0;
+  controller_options.plan_slot_factor = 5;
+  controller_options.horizon_plan_slots = 20;
+  controller_options.planner_params.target_rate_per_node = 285.0;
+  controller_options.planner_params.max_rate_per_node = 350.0;
+  controller_options.planner_params.partitions_per_node = 6;
+  controller_options.planner_params.d_slots =
+      SingleThreadFullMigrationSeconds(cluster.TotalDataBytes(),
+                                       migration_options) /
+      30.0;
+  PredictiveController controller(&loop, &cluster, &executor, &migration,
+                                  &oracle, controller_options);
+  controller.Start();
+
+  const SimTime end = 40 * 6 * kSecond;
+  driver.Start(end);
+  loop.RunUntil(end);
+  return Snapshot(metrics.Finalize(end), executor, migration);
+}
+
+// The serial golden run (scripted crash, step trace, scale-out under the
+// oracle controller) reproduces bit-for-bit from one run to the next.
+TEST(ShardedEngineEquivalenceTest, FullStackMatchesSerialGoldenRun) {
+  const std::string golden = RunGoldenStack();
+  EXPECT_EQ(golden, RunGoldenStack());
+  EXPECT_EQ(golden, RunGoldenStack());
+  // Sanity: the run did real work (a scale-out and a fault window).
+  EXPECT_NE(golden.find(" f1\n"), std::string::npos);
+  EXPECT_NE(golden.find("mig "), std::string::npos);
+  EXPECT_EQ(golden.find(" mig 0/"), std::string::npos);
 }
 
 }  // namespace

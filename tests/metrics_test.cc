@@ -107,56 +107,6 @@ TEST(WindowHistogramTest, QuantilesSurviveBucketSaturation) {
   EXPECT_EQ(h.ValueAtQuantile(1.0), 800 * kMillisecond);
 }
 
-TEST(WindowHistogramTest, MergeMatchesSingleHistogram) {
-  WindowHistogram merged;
-  WindowHistogram a;
-  WindowHistogram b;
-  for (int i = 0; i < 300; ++i) {
-    merged.Record(10 * kMillisecond);
-    a.Record(10 * kMillisecond);
-  }
-  for (int i = 0; i < 100; ++i) {
-    merged.Record(700 * kMillisecond);
-    b.Record(700 * kMillisecond);
-  }
-  a.MergeFrom(b);
-  EXPECT_EQ(a.count(), merged.count());
-  for (const double q : {0.0, 0.5, 0.9, 0.99, 1.0}) {
-    EXPECT_EQ(a.ValueAtQuantile(q), merged.ValueAtQuantile(q)) << "q " << q;
-  }
-}
-
-TEST(MetricsCollectorTest, MergeFromMatchesSingleCollector) {
-  // The sharded engine's per-shard collectors fold into the main one;
-  // the fold must be indistinguishable from having recorded everything
-  // in one collector, including unavailable counts and window extension.
-  MetricsCollector whole(1.0);
-  MetricsCollector main_part(1.0);
-  MetricsCollector shard_part(1.0);
-  for (int i = 0; i < 40; ++i) {
-    const SimTime at = i * 100 * kMillisecond;
-    whole.RecordTxn(at, at + 20 * kMillisecond);
-    if (i % 2 == 0) {
-      main_part.RecordTxn(at, at + 20 * kMillisecond);
-    } else {
-      shard_part.RecordTxn(at, at + 20 * kMillisecond);
-    }
-  }
-  whole.RecordUnavailable(4500 * kMillisecond);
-  shard_part.RecordUnavailable(4500 * kMillisecond);
-  main_part.MergeFrom(shard_part);
-  const auto expected = whole.Finalize(5 * kSecond);
-  const auto merged = main_part.Finalize(5 * kSecond);
-  ASSERT_EQ(merged.size(), expected.size());
-  for (size_t w = 0; w < expected.size(); ++w) {
-    EXPECT_EQ(merged[w].submitted, expected[w].submitted) << "window " << w;
-    EXPECT_EQ(merged[w].completed, expected[w].completed) << "window " << w;
-    EXPECT_EQ(merged[w].unavailable, expected[w].unavailable) << "window " << w;
-    EXPECT_EQ(merged[w].p50_ms, expected[w].p50_ms) << "window " << w;
-    EXPECT_EQ(merged[w].p99_ms, expected[w].p99_ms) << "window " << w;
-  }
-}
-
 TEST(WindowHistogramTest, NonPositiveWeightIsIgnored) {
   WindowHistogram h;
   h.Record(10 * kMillisecond, 0);

@@ -9,9 +9,6 @@
 // Usage:
 //   pstore_chaos [--minutes=24] [--controller=pstore|reactive]
 //       [--nodes=2] [--base-rate=300] [--peak-rate=800] [--step-minute=12]
-//       [--engine-threads=1]  (node-sharded engine: N>1 runs each node's
-//                              transactions in parallel, 0 = hardware;
-//                              output is bit-identical for any value)
 //       [--predictor=oracle]  (pstore controller's forecast model:
 //                              "oracle" = perfect hindsight (default), or
 //                              any predictor spec — "ar(p=8)",
@@ -62,7 +59,6 @@
 #include "engine/cluster.h"
 #include "engine/event_loop.h"
 #include "engine/metrics.h"
-#include "engine/sharded_loop.h"
 #include "engine/txn_executor.h"
 #include "engine/workload_driver.h"
 #include "fault/fault_injector.h"
@@ -154,17 +150,6 @@ DrillResult RunDrill(const DrillConfig& config) {
   migration_options.chunk_bytes = 256 * 1024;
   migration_options.extract_rate_bytes_per_sec = 20e6;
   EventLoop loop;
-  // Node-sharded data plane (--engine-threads > 1): bit-identical to the
-  // serial path, threads only change wall-clock time.
-  std::unique_ptr<ShardedEngine> sharded;
-  const int engine_threads =
-      ResolveThreadCount(config.spec.sim.engine_threads);
-  if (engine_threads > 1) {
-    sharded = std::make_unique<ShardedEngine>(
-        &loop, cluster_options.max_nodes, engine_threads);
-    executor.EnableSharding(sharded.get());
-    sharded->InstallBarrierHook();
-  }
   MigrationManager migration(&loop, &cluster, &metrics, migration_options);
   executor.set_tracer(tracer);
   migration.set_tracer(tracer);
@@ -260,10 +245,6 @@ DrillResult RunDrill(const DrillConfig& config) {
   const SimTime end = FromSeconds(config.total_seconds);
   driver.Start(end);
   loop.RunUntil(end);
-  if (sharded != nullptr) {
-    sharded->Flush();
-    executor.FoldShardStats();
-  }
 
   DrillResult result;
   result.fault_events = injector.schedule().events().size();
@@ -414,14 +395,13 @@ int main(int argc, char** argv) {
       flags.GetDouble("mean-straggler", 45.0);
   const StatusOr<double> mean_degrade = flags.GetDouble("mean-degrade", 90.0);
   const StatusOr<int64_t> threads = flags.GetInt("threads", 0);
-  const StatusOr<int64_t> engine_threads = flags.GetInt("engine-threads", 1);
   for (const Status& status :
        {minutes.status(), nodes.status(), base_rate.status(),
         peak_rate.status(), step_minute.status(), crash_node.status(),
         crash_at.status(), recover_at.status(), seed.status(),
         crash_rate.status(), straggler_rate.status(), degrade_rate.status(),
         abort_rate.status(), mean_outage.status(), mean_straggler.status(),
-        mean_degrade.status(), threads.status(), engine_threads.status()}) {
+        mean_degrade.status(), threads.status()}) {
     if (!status.ok()) return Fail(status.ToString());
   }
   if (*minutes < 1) return Fail("--minutes must be >= 1");
@@ -512,7 +492,6 @@ int main(int argc, char** argv) {
     drill.spec.label = StrategyName(*strategy);
     drill.spec.strategy = *strategy;
     drill.spec.workload = workload;
-    drill.spec.sim.engine_threads = static_cast<int>(*engine_threads);
     drill.nodes = static_cast<int>(*nodes);
     drill.total_seconds = total_seconds;
     drill.faults = events;

@@ -25,12 +25,6 @@
 // threads (default: hardware concurrency) with results reported in
 // strategy order — identical for any thread count.
 //
-// --engine-threads=N sets SimOptions::engine_threads, the node-sharded
-// discrete-event engine's worker count. The analytic capacity simulator
-// has no engine, so here the knob is inert and output is byte-identical
-// for any value; engine-backed tools (pstore_chaos, the benches) honor
-// it.
-//
 // Optional seeded-random fault injection (identical --seed reproduces
 // the identical fault stream): node crashes and stragglers degrade the
 // effective capacity while active, and violations occurring under a
@@ -119,16 +113,9 @@ int main(int argc, char** argv) {
   const StatusOr<int64_t> train_days = flags.GetInt("train-days", 28);
   const StatusOr<double> inflation = flags.GetDouble("inflation", 1.15);
   const StatusOr<int64_t> threads = flags.GetInt("threads", 0);
-  // Worker threads for the node-sharded discrete-event engine. The
-  // analytic capacity simulator behind this tool has no engine, so the
-  // knob is inert here by design — results are identical for any value
-  // (the determinism ctest pins exactly that) — but it is plumbed
-  // through SimOptions for parity with the engine-backed tools.
-  const StatusOr<int64_t> engine_threads = flags.GetInt("engine-threads", 1);
   for (const Status& status :
        {q.status(), qhat.status(), d_minutes.status(), partitions.status(),
-        train_days.status(), inflation.status(), threads.status(),
-        engine_threads.status()}) {
+        train_days.status(), inflation.status(), threads.status()}) {
     if (!status.ok()) return Fail(status.ToString());
   }
 
@@ -144,7 +131,6 @@ int main(int argc, char** argv) {
   options.inflation = *inflation;
   options.initial_nodes = 4;
   options.max_nodes = 80;
-  options.engine_threads = static_cast<int>(*engine_threads);
   options.eval_begin = *train_days * slots_per_day;
   if (options.eval_begin + slots_per_day >= trace->size()) {
     return Fail("trace too short for --train-days plus one day");
