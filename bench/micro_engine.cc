@@ -5,6 +5,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "b2w/procedures.h"
@@ -22,12 +23,13 @@
 namespace pstore {
 namespace {
 
-ClusterOptions BenchCluster() {
+// `nodes` active machines of 6 partitions each over `buckets` buckets.
+ClusterOptions BenchCluster(int nodes = 4, int buckets = 3600) {
   ClusterOptions options;
   options.partitions_per_node = 6;
-  options.max_nodes = 10;
-  options.initial_nodes = 4;
-  options.num_buckets = 3600;
+  options.max_nodes = std::max(nodes, 10);
+  options.initial_nodes = nodes;
+  options.num_buckets = buckets;
   return options;
 }
 
@@ -39,8 +41,14 @@ void BM_MurmurHash(benchmark::State& state) {
 }
 BENCHMARK(BM_MurmurHash);
 
+// Args are {nodes, buckets}: the small cluster the other cases use, and
+// the scale of the b2w_flat_100n benchmark workload (100 nodes, 600
+// partitions, 15360 buckets), so this case's ns/txn can be set beside
+// that workload's engine.submit_ns_per_txn. The loop also times the
+// transaction factory (BM_TxnFactoryOnly), which that layer excludes.
 void BM_TxnSubmit(benchmark::State& state) {
-  Cluster cluster(BenchCluster());
+  Cluster cluster(BenchCluster(static_cast<int>(state.range(0)),
+                               static_cast<int>(state.range(1))));
   MetricsCollector metrics;
   TxnExecutor executor(&cluster, &metrics, ExecutorOptions{});
   PSTORE_CHECK(b2w::RegisterProcedures(&executor).ok());
@@ -58,7 +66,7 @@ void BM_TxnSubmit(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_TxnSubmit);
+BENCHMARK(BM_TxnSubmit)->Args({4, 3600})->Args({100, 15360});
 
 // The same hot path with a live tracer attached. With the default mask
 // the per-transaction engine.txn events sit in kVerbose and are skipped

@@ -1,7 +1,9 @@
 #include "engine/metrics.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstddef>
 #include <limits>
 
 #include "common/logging.h"
@@ -15,15 +17,58 @@ namespace {
 constexpr int kSubBucketsPerOctave = 8;
 constexpr SimTime kBaseLatency = 100;  // 100 us
 
-}  // namespace
-
-int WindowHistogram::BucketFor(SimTime latency) {
+// The bucket layout as a formula: kSubBucketsPerOctave buckets per
+// octave above kBaseLatency, everything below it in bucket 0, the last
+// bucket open-ended.
+int Log2Bucket(SimTime latency) {
   if (latency < kBaseLatency) return 0;
   const double octaves =
       std::log2(static_cast<double>(latency) /
                 static_cast<double>(kBaseLatency));
   const int bucket = static_cast<int>(octaves * kSubBucketsPerOctave) + 1;
-  return std::min(bucket, kNumBuckets - 1);
+  return std::min(bucket, WindowHistogram::kNumBuckets - 1);
+}
+
+using LowerEdges = std::array<SimTime, WindowHistogram::kNumBuckets>;
+
+// edges[b] is the smallest latency Log2Bucket puts in bucket b or above,
+// found by bisecting Log2Bucket itself. Log2Bucket is monotone, so
+// searching the edges gives its bucket for every latency without taking
+// a logarithm.
+LowerEdges BuildLowerEdges() {
+  // Far above the last edge (~5.5 s): 2^40 us is about 13 days.
+  constexpr SimTime kAboveAllEdges = SimTime{1} << 40;
+  LowerEdges edges{};
+  edges[0] = std::numeric_limits<SimTime>::min();
+  for (int bucket = 1; bucket < WindowHistogram::kNumBuckets; ++bucket) {
+    SimTime lo = 0;
+    SimTime hi = kAboveAllEdges;
+    while (lo < hi) {
+      const SimTime mid = lo + (hi - lo) / 2;
+      if (Log2Bucket(mid) >= bucket) {
+        hi = mid;
+      } else {
+        lo = mid + 1;
+      }
+    }
+    edges[static_cast<size_t>(bucket)] = lo;
+  }
+  return edges;
+}
+
+}  // namespace
+
+int WindowHistogram::BucketFor(SimTime latency) {
+  static const LowerEdges kLowerEdges = BuildLowerEdges();
+  // Binary search for the last edge at or below `latency`; the halving
+  // steps reach every bucket because the count is a power of two.
+  static_assert((kNumBuckets & (kNumBuckets - 1)) == 0);
+  int bucket = 0;
+  for (int step = kNumBuckets / 2; step > 0; step /= 2) {
+    const auto probe = static_cast<size_t>(bucket + step);
+    if (kLowerEdges[probe] <= latency) bucket += step;
+  }
+  return bucket;
 }
 
 SimTime WindowHistogram::UpperEdge(int bucket) {

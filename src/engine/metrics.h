@@ -30,8 +30,11 @@ class WindowHistogram {
   // Latency (in SimTime us) at the given quantile; upper bucket edge.
   SimTime ValueAtQuantile(double q) const;
 
- private:
+  // The bucket `latency` lands in: 0 below 100 us, then 8 per octave,
+  // the last one open-ended. Public for tests.
   static int BucketFor(SimTime latency);
+
+ private:
   static SimTime UpperEdge(int bucket);
 
   std::array<uint32_t, kNumBuckets> buckets_ = {};

@@ -1,8 +1,11 @@
 #include "engine/partition.h"
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <limits>
+#include <optional>
 #include <utility>
-#include <vector>
 
 #include "common/logging.h"
 #include "common/sim_time.h"
@@ -19,21 +22,38 @@ SimTime Partition::Submit(SimTime now, SimTime service_time) {
   return busy_until_;
 }
 
-BucketData* Partition::FindBucket(BucketId bucket) {
-  auto it = buckets_.find(bucket);
-  return it == buckets_.end() ? nullptr : &it->second;
+size_t Partition::IndexOf(BucketId bucket) const {
+  return static_cast<size_t>(
+      std::lower_bound(bucket_ids_.begin(), bucket_ids_.end(), bucket) -
+      bucket_ids_.begin());
 }
 
 const BucketData* Partition::FindBucket(BucketId bucket) const {
-  auto it = buckets_.find(bucket);
-  return it == buckets_.end() ? nullptr : &it->second;
+  const size_t i = IndexOf(bucket);
+  return i < bucket_ids_.size() && bucket_ids_[i] == bucket
+             ? &bucket_data_[i]
+             : nullptr;
+}
+
+BucketData* Partition::FindBucket(BucketId bucket) {
+  return const_cast<BucketData*>(std::as_const(*this).FindBucket(bucket));
+}
+
+BucketData& Partition::FindOrAddBucket(BucketId bucket) {
+  const size_t i = IndexOf(bucket);
+  if (i == bucket_ids_.size() || bucket_ids_[i] != bucket) {
+    const auto offset = static_cast<std::ptrdiff_t>(i);
+    bucket_ids_.insert(bucket_ids_.begin() + offset, bucket);
+    bucket_data_.emplace(bucket_data_.begin() + offset);
+  }
+  return bucket_data_[i];
 }
 
 void Partition::Put(BucketId bucket, TableId table, uint64_t key,
                     const Row& row) {
   PSTORE_CHECK(table < kMaxTables);
-  BucketData& data = buckets_[bucket];
-  auto [it, inserted] = data.tables[table].try_emplace(key, row);
+  BucketData& data = FindOrAddBucket(bucket);
+  const auto [stored, inserted] = data.tables[table].Insert(key, row);
   if (inserted) {
     ++data.rows;
     ++row_count_;
@@ -41,10 +61,10 @@ void Partition::Put(BucketId bucket, TableId table, uint64_t key,
     data_bytes_ += row.payload_bytes;
   } else {
     const int64_t delta = static_cast<int64_t>(row.payload_bytes) -
-                          static_cast<int64_t>(it->second.payload_bytes);
+                          static_cast<int64_t>(stored->payload_bytes);
     data.bytes += delta;
     data_bytes_ += delta;
-    it->second = row;
+    *stored = row;
   }
 }
 
@@ -52,38 +72,36 @@ const Row* Partition::Get(BucketId bucket, TableId table,
                           uint64_t key) const {
   PSTORE_CHECK(table < kMaxTables);
   const BucketData* data = FindBucket(bucket);
-  if (data == nullptr) return nullptr;
-  const auto it = data->tables[table].find(key);
-  return it == data->tables[table].end() ? nullptr : &it->second;
+  return data == nullptr ? nullptr : data->tables[table].Find(key);
 }
 
 Row* Partition::GetMutable(BucketId bucket, TableId table, uint64_t key) {
   PSTORE_CHECK(table < kMaxTables);
   BucketData* data = FindBucket(bucket);
-  if (data == nullptr) return nullptr;
-  auto it = data->tables[table].find(key);
-  return it == data->tables[table].end() ? nullptr : &it->second;
+  return data == nullptr ? nullptr : data->tables[table].Find(key);
 }
 
 bool Partition::Erase(BucketId bucket, TableId table, uint64_t key) {
   PSTORE_CHECK(table < kMaxTables);
   BucketData* data = FindBucket(bucket);
   if (data == nullptr) return false;
-  auto it = data->tables[table].find(key);
-  if (it == data->tables[table].end()) return false;
+  const std::optional<Row> erased = data->tables[table].Erase(key);
+  if (!erased.has_value()) return false;
   --data->rows;
   --row_count_;
-  data->bytes -= it->second.payload_bytes;
-  data_bytes_ -= it->second.payload_bytes;
-  data->tables[table].erase(it);
+  data->bytes -= erased->payload_bytes;
+  data_bytes_ -= erased->payload_bytes;
   return true;
 }
 
 BucketData Partition::ExtractBucket(BucketId bucket) {
-  auto it = buckets_.find(bucket);
-  PSTORE_CHECK_MSG(it != buckets_.end(), "bucket " << bucket << " not here");
-  BucketData data = std::move(it->second);
-  buckets_.erase(it);
+  const size_t i = IndexOf(bucket);
+  PSTORE_CHECK_MSG(i < bucket_ids_.size() && bucket_ids_[i] == bucket,
+                   "bucket " << bucket << " not here");
+  BucketData data = std::move(bucket_data_[i]);
+  const auto offset = static_cast<std::ptrdiff_t>(i);
+  bucket_ids_.erase(bucket_ids_.begin() + offset);
+  bucket_data_.erase(bucket_data_.begin() + offset);
   row_count_ -= data.rows;
   data_bytes_ -= data.bytes;
   PSTORE_CHECK(row_count_ >= 0 && data_bytes_ >= 0);
@@ -91,11 +109,14 @@ BucketData Partition::ExtractBucket(BucketId bucket) {
 }
 
 void Partition::InsertBucket(BucketId bucket, BucketData data) {
+  const size_t i = IndexOf(bucket);
+  PSTORE_CHECK_MSG(i == bucket_ids_.size() || bucket_ids_[i] != bucket,
+                   "bucket " << bucket << " already present");
   row_count_ += data.rows;
   data_bytes_ += data.bytes;
-  const bool inserted =
-      buckets_.emplace(bucket, std::move(data)).second;
-  PSTORE_CHECK_MSG(inserted, "bucket " << bucket << " already present");
+  const auto offset = static_cast<std::ptrdiff_t>(i);
+  bucket_ids_.insert(bucket_ids_.begin() + offset, bucket);
+  bucket_data_.insert(bucket_data_.begin() + offset, std::move(data));
 }
 
 int64_t Partition::BucketBytes(BucketId bucket) const {
@@ -103,42 +124,20 @@ int64_t Partition::BucketBytes(BucketId bucket) const {
   return data == nullptr ? 0 : data->bytes;
 }
 
-std::vector<BucketId> Partition::SortedBucketIds() const {
-  std::vector<BucketId> ids;
-  ids.reserve(buckets_.size());
-  // Key extraction only; the sort below erases the hash order.
-  // pstore-analyze: allow(nondet-iteration)
-  for (const auto& [bucket, data] : buckets_) ids.push_back(bucket);
-  std::sort(ids.begin(), ids.end());
-  return ids;
-}
-
 BucketId Partition::HottestBucket(int64_t* accesses) const {
-  BucketId hottest = -1;
-  int64_t best = 0;
-  // Ascending-id scan with a strict `>` makes ties deterministic: the
-  // lowest bucket id wins no matter how the hash table is laid out.
-  for (const BucketId bucket : SortedBucketIds()) {
-    const int64_t count = buckets_.at(bucket).accesses;
-    if (count > best) {
-      best = count;
-      hottest = bucket;
-    }
-  }
-  if (accesses != nullptr) *accesses = best;
-  return hottest;
+  return HottestBucketBelow(std::numeric_limits<int64_t>::max(), accesses);
 }
 
 BucketId Partition::HottestBucketBelow(int64_t cap,
                                        int64_t* accesses) const {
   BucketId best_bucket = -1;
   int64_t best = 0;
-  // Same deterministic tie-break as HottestBucket: lowest id wins.
-  for (const BucketId bucket : SortedBucketIds()) {
-    const int64_t count = buckets_.at(bucket).accesses;
+  // Ids ascend, so the strict `>` breaks ties toward the lowest id.
+  for (size_t i = 0; i < bucket_ids_.size(); ++i) {
+    const int64_t count = bucket_data_[i].accesses;
     if (count > best && count <= cap) {
       best = count;
-      best_bucket = bucket;
+      best_bucket = bucket_ids_[i];
     }
   }
   if (accesses != nullptr) *accesses = best;
@@ -147,16 +146,12 @@ BucketId Partition::HottestBucketBelow(int64_t cap,
 
 int64_t Partition::TotalAccesses() const {
   int64_t total = 0;
-  // Commutative sum: the traversal order cannot affect the result.
-  // pstore-analyze: allow(nondet-iteration)
-  for (const auto& [bucket, data] : buckets_) total += data.accesses;
+  for (const BucketData& data : bucket_data_) total += data.accesses;
   return total;
 }
 
 void Partition::ResetAccessCounts() {
-  // Order-independent reset of every counter.
-  // pstore-analyze: allow(nondet-iteration)
-  for (auto& [bucket, data] : buckets_) data.accesses = 0;
+  for (BucketData& data : bucket_data_) data.accesses = 0;
 }
 
 }  // namespace pstore

@@ -2,11 +2,12 @@
 #define PSTORE_ENGINE_PARTITION_H_
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/sim_time.h"
+#include "engine/row_table.h"
 #include "engine/table.h"
 
 namespace pstore {
@@ -16,15 +17,12 @@ namespace pstore {
 // fine-grained elasticity systems group tuples into movable blocks.
 using BucketId = int32_t;
 
-// The rows of one bucket, organized per table, plus byte/row accounting
-// so migration can size chunks without scanning rows, and an access
-// counter for hot-spot detection (E-Store-style detailed monitoring).
+// The rows of one bucket, one RowTable per table, plus byte/row
+// accounting so migration can size chunks without scanning rows, and an
+// access counter for hot-spot detection (E-Store-style detailed
+// monitoring).
 struct BucketData {
-  // Hash maps keep the per-key hot path O(1); rows are only ever probed
-  // by key, never iterated, so the unordered order cannot leak into
-  // simulation results.
-  // pstore-analyze: allow(nondet-iteration)
-  std::array<std::unordered_map<uint64_t, Row>, kMaxTables> tables;
+  std::array<RowTable, kMaxTables> tables;
   int64_t rows = 0;
   int64_t bytes = 0;
   int64_t accesses = 0;
@@ -63,6 +61,10 @@ class Partition {
   int64_t jobs_executed() const { return jobs_executed_; }
 
   // --- Storage ----------------------------------------------------------
+  //
+  // A Row* returned by Get or GetMutable stays valid only until the next
+  // insert (a Put of a new key) or Erase on the same (bucket, table);
+  // either may move that table's rows.
 
   // Inserts or overwrites a row in the given bucket.
   void Put(BucketId bucket, TableId table, uint64_t key, const Row& row);
@@ -83,7 +85,7 @@ class Partition {
   void InsertBucket(BucketId bucket, BucketData data);
 
   bool HasBucket(BucketId bucket) const {
-    return buckets_.count(bucket) > 0;
+    return FindBucket(bucket) != nullptr;
   }
   // Bytes held by one bucket (0 if the bucket holds no data here).
   int64_t BucketBytes(BucketId bucket) const;
@@ -92,10 +94,11 @@ class Partition {
 
   // Counts one transaction against the bucket (creates an empty bucket
   // record if needed so even data-less buckets can be tracked).
-  void RecordAccess(BucketId bucket) { ++buckets_[bucket].accesses; }
+  void RecordAccess(BucketId bucket) { ++FindOrAddBucket(bucket).accesses; }
 
-  // The bucket with the most recorded accesses, or -1 when nothing was
-  // recorded. `accesses` (optional) receives its count.
+  // The bucket with the most recorded accesses (the lowest id among
+  // ties), or -1 when nothing was recorded. `accesses` (optional)
+  // receives its count.
   BucketId HottestBucket(int64_t* accesses = nullptr) const;
 
   // The bucket with the most recorded accesses that is still <= `cap`,
@@ -113,23 +116,22 @@ class Partition {
   int64_t data_bytes() const { return data_bytes_; }
 
  private:
+  // Position of `bucket` in bucket_ids_, or where it would be inserted.
+  size_t IndexOf(BucketId bucket) const;
   BucketData* FindBucket(BucketId bucket);
   const BucketData* FindBucket(BucketId bucket) const;
-
-  // Bucket ids in ascending order, for traversals whose result could
-  // otherwise depend on hash iteration order (hot-spot scans tie-break
-  // toward the lowest id).
-  std::vector<BucketId> SortedBucketIds() const;
+  // The bucket's record, created empty when absent.
+  BucketData& FindOrAddBucket(BucketId bucket);
 
   SimTime busy_until_ = 0;
   SimTime total_busy_time_ = 0;
   int64_t jobs_executed_ = 0;
 
-  // O(1) bucket routing on the Put/Get/Submit hot path. Every
-  // order-sensitive traversal goes through SortedBucketIds() so results
-  // never depend on hash iteration order.
-  // pstore-analyze: allow(nondet-iteration)
-  std::unordered_map<BucketId, BucketData> buckets_;
+  // Bucket records in ascending id order: bucket_data_[i] belongs to
+  // bucket_ids_[i]. Lookups binary-search the ids and scans walk them in
+  // order, so no result depends on the order buckets arrived in.
+  std::vector<BucketId> bucket_ids_;
+  std::vector<BucketData> bucket_data_;
   int64_t row_count_ = 0;
   int64_t data_bytes_ = 0;
 };

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
+#include "common/rng.h"
 #include "common/sim_time.h"
 
 namespace pstore {
@@ -112,6 +116,43 @@ TEST(WindowHistogramTest, NonPositiveWeightIsIgnored) {
   h.Record(10 * kMillisecond, 0);
   h.Record(10 * kMillisecond, -5);
   EXPECT_EQ(h.count(), 0);
+}
+
+// The log2 formula the bucket table is bisected from, restated as the
+// reference: 8 buckets per octave above 100 us, bucket 0 below it.
+int Log2Bucket(SimTime latency) {
+  if (latency < 100) return 0;
+  const double octaves = std::log2(static_cast<double>(latency) / 100.0);
+  return std::min(static_cast<int>(octaves * 8) + 1,
+                  WindowHistogram::kNumBuckets - 1);
+}
+
+TEST(WindowHistogramTest, BucketTableMatchesLog2Formula) {
+  // One below, at and one above every bucket's lower edge...
+  for (int bucket = 1; bucket < WindowHistogram::kNumBuckets; ++bucket) {
+    SimTime lo = 0;
+    SimTime hi = SimTime{1} << 40;
+    while (lo < hi) {
+      const SimTime mid = lo + (hi - lo) / 2;
+      if (Log2Bucket(mid) >= bucket) {
+        hi = mid;
+      } else {
+        lo = mid + 1;
+      }
+    }
+    for (const SimTime latency : {lo - 1, lo, lo + 1}) {
+      EXPECT_EQ(WindowHistogram::BucketFor(latency), Log2Bucket(latency))
+          << "latency " << latency;
+    }
+  }
+  // ...and across the latencies a run records, up to 6000 s.
+  Rng rng(6);
+  for (int i = 0; i < 1000000; ++i) {
+    const auto latency =
+        static_cast<SimTime>(rng.NextUint64(6'000'000'001ULL));
+    ASSERT_EQ(WindowHistogram::BucketFor(latency), Log2Bucket(latency))
+        << "latency " << latency;
+  }
 }
 
 TEST(MetricsCollectorTest, ThroughputPerWindow) {

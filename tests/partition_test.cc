@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "common/sim_time.h"
+#include "engine/row_table.h"
 #include "engine/table.h"
 
 namespace pstore {
@@ -204,6 +209,180 @@ TEST(PartitionMonitorTest, HottestBucketIsInsertionOrderIndependent) {
   a.ResetAccessCounts();
   EXPECT_EQ(a.HottestBucket(nullptr), -1);
   EXPECT_EQ(a.TotalAccesses(), 0);
+}
+
+// ---- Differential test against a reference model ---------------------------
+
+// What one bucket should hold: rows by (table, key), their payload bytes
+// and the access count.
+struct ModelBucket {
+  std::map<std::pair<TableId, uint64_t>, Row> rows;
+  int64_t bytes = 0;
+  int64_t accesses = 0;
+};
+using Model = std::map<BucketId, ModelBucket>;
+
+bool SameRow(const Row& a, const Row& b) {
+  return a.payload_bytes == b.payload_bytes && a.f0 == b.f0 &&
+         a.f1 == b.f1 && a.f2 == b.f2 && a.f3 == b.f3;
+}
+
+Row* ModelRow(Model& model, BucketId bucket, TableId table, uint64_t key) {
+  const auto data = model.find(bucket);
+  if (data == model.end()) return nullptr;
+  const auto row = data->second.rows.find({table, key});
+  return row == data->second.rows.end() ? nullptr : &row->second;
+}
+
+// Keys whose hash lies in the top 2^-12 of its range: in every table of up
+// to 4096 slots their home is the last slot, so they collide there and
+// their probe run wraps around to slot 0.
+std::vector<uint64_t> KeysHomedAtLastSlot(size_t count, Rng& rng) {
+  std::vector<uint64_t> keys;
+  while (keys.size() < count) {
+    const uint64_t key = rng.NextUint64();
+    if (RowTable::HomeSlot(key, 4096) == 4095) keys.push_back(key);
+  }
+  return keys;
+}
+
+// Compares the partition's counters, per-bucket bytes and hot-spot
+// answers with the model, and every stored row too when `all_rows`.
+void ExpectMatchesModel(const Partition& p, const Model& model,
+                        BucketId num_buckets, int64_t cap, bool all_rows) {
+  int64_t rows = 0;
+  int64_t bytes = 0;
+  int64_t total_accesses = 0;
+  BucketId hottest = -1;
+  int64_t hottest_count = 0;
+  BucketId below = -1;
+  int64_t below_count = 0;
+  for (BucketId bucket = 0; bucket < num_buckets; ++bucket) {
+    const auto it = model.find(bucket);
+    ASSERT_EQ(p.HasBucket(bucket), it != model.end()) << "bucket " << bucket;
+    if (it == model.end()) {
+      ASSERT_EQ(p.BucketBytes(bucket), 0);
+      continue;
+    }
+    const ModelBucket& data = it->second;
+    ASSERT_EQ(p.BucketBytes(bucket), data.bytes) << "bucket " << bucket;
+    rows += static_cast<int64_t>(data.rows.size());
+    bytes += data.bytes;
+    total_accesses += data.accesses;
+    // Ascending ids and a strict `>`: ties go to the lowest id.
+    if (data.accesses > hottest_count) {
+      hottest_count = data.accesses;
+      hottest = bucket;
+    }
+    if (data.accesses > below_count && data.accesses <= cap) {
+      below_count = data.accesses;
+      below = bucket;
+    }
+    if (!all_rows) continue;
+    for (const auto& [id, row] : data.rows) {
+      const Row* stored = p.Get(bucket, id.first, id.second);
+      ASSERT_NE(stored, nullptr) << "bucket " << bucket << " key " << id.second;
+      ASSERT_TRUE(SameRow(*stored, row))
+          << "bucket " << bucket << " key " << id.second;
+    }
+  }
+  ASSERT_EQ(p.row_count(), rows);
+  ASSERT_EQ(p.data_bytes(), bytes);
+  ASSERT_EQ(p.TotalAccesses(), total_accesses);
+  int64_t accesses = -1;
+  ASSERT_EQ(p.HottestBucket(&accesses), hottest);
+  ASSERT_EQ(accesses, hottest_count);
+  ASSERT_EQ(p.HottestBucketBelow(cap, &accesses), below);
+  ASSERT_EQ(accesses, below_count);
+}
+
+// Seeded random operations on two partitions, mirrored on the model and
+// compared after every step. Insert-heavy and erase-heavy phases
+// alternate, so tables grow through several capacities and then churn;
+// with the colliding keys, erases shift rows back across the wrap from
+// the last slot to the first.
+TEST(PartitionDifferentialTest, RandomOperationsMatchReferenceModel) {
+  constexpr BucketId kBuckets = 4;
+  constexpr TableId kTables[] = {0, kMaxTables - 1};
+  Rng rng(13);
+  std::vector<uint64_t> keys = KeysHomedAtLastSlot(40, rng);
+  for (uint64_t key = 0; key < 60; ++key) keys.push_back(key);
+  Partition partitions[2];
+  Model models[2];
+  for (int step = 0; step < 40000; ++step) {
+    const bool erasing = (step / 4000) % 2 == 1;
+    const int side = static_cast<int>(rng.NextUint64(2));
+    Partition& p = partitions[side];
+    Model& model = models[side];
+    const auto bucket = static_cast<BucketId>(rng.NextUint64(kBuckets));
+    const TableId table = kTables[rng.NextUint64(2)];
+    const uint64_t key = keys[rng.NextUint64(keys.size())];
+    const uint64_t roll = rng.NextUint64(100);
+    if (roll < (erasing ? 15u : 45u)) {
+      const Row row =
+          MakeRow(static_cast<uint32_t>(1 + rng.NextUint64(500)), step);
+      p.Put(bucket, table, key, row);
+      ModelBucket& data = model[bucket];
+      Row& stored = data.rows[{table, key}];
+      data.bytes += static_cast<int64_t>(row.payload_bytes) -
+                    static_cast<int64_t>(stored.payload_bytes);
+      stored = row;
+    } else if (roll < 60) {
+      Row* expected = ModelRow(model, bucket, table, key);
+      ASSERT_EQ(p.Erase(bucket, table, key), expected != nullptr);
+      if (expected != nullptr) {
+        ModelBucket& data = model[bucket];
+        data.bytes -= expected->payload_bytes;
+        data.rows.erase({table, key});
+      }
+    } else if (roll < 70) {
+      const Row* stored = p.Get(bucket, table, key);
+      const Row* expected = ModelRow(model, bucket, table, key);
+      ASSERT_EQ(stored != nullptr, expected != nullptr);
+      if (stored != nullptr) {
+        ASSERT_TRUE(SameRow(*stored, *expected));
+      }
+    } else if (roll < 78) {
+      Row* stored = p.GetMutable(bucket, table, key);
+      Row* expected = ModelRow(model, bucket, table, key);
+      ASSERT_EQ(stored != nullptr, expected != nullptr);
+      if (stored != nullptr) {
+        stored->f2 += 1;
+        expected->f2 += 1;
+      }
+    } else if (roll < 92) {
+      p.RecordAccess(bucket);
+      ++model[bucket].accesses;
+    } else if (roll < 99) {
+      // Move the bucket to the other partition, or back in place when
+      // that one already holds the id.
+      const auto it = model.find(bucket);
+      if (it != model.end()) {
+        BucketData moved = p.ExtractBucket(bucket);
+        ASSERT_EQ(moved.rows, static_cast<int64_t>(it->second.rows.size()));
+        ASSERT_EQ(moved.bytes, it->second.bytes);
+        ASSERT_EQ(moved.accesses, it->second.accesses);
+        const int target =
+            models[1 - side].count(bucket) == 0 ? 1 - side : side;
+        ModelBucket data = std::move(it->second);
+        model.erase(it);
+        partitions[target].InsertBucket(bucket, std::move(moved));
+        models[target].emplace(bucket, std::move(data));
+      }
+    } else {
+      p.ResetAccessCounts();
+      for (auto& entry : model) entry.second.accesses = 0;
+    }
+    const auto cap = static_cast<int64_t>(rng.NextUint64(24));
+    for (int s = 0; s < 2; ++s) {
+      ASSERT_NO_FATAL_FAILURE(ExpectMatchesModel(
+          partitions[s], models[s], kBuckets, cap, step % 50 == 0));
+    }
+  }
+  for (int s = 0; s < 2; ++s) {
+    ASSERT_NO_FATAL_FAILURE(
+        ExpectMatchesModel(partitions[s], models[s], kBuckets, 0, true));
+  }
 }
 
 }  // namespace

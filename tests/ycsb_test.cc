@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <map>
 #include <vector>
 
@@ -65,6 +68,34 @@ TEST(ZipfTest, KeysStayInRange) {
   Rng rng(4);
   for (int i = 0; i < 10000; ++i) {
     EXPECT_LT(zipf.NextKey(rng), 1000u);
+  }
+}
+
+TEST(ZipfTest, GuideTableMatchesFullBinarySearch) {
+  // The guide table only narrows the search: every rank must be the plain
+  // lower_bound over the whole CDF, so the key stream cannot move.
+  for (const uint64_t n : {uint64_t{10}, uint64_t{300007}}) {
+    for (const double theta : {0.0, 0.6, 0.99, 1.2}) {
+      const ZipfGenerator zipf(n, theta);
+      const std::vector<double>& cdf = zipf.cdf();
+      const auto full_search = [&cdf](double u) {
+        return static_cast<uint64_t>(
+            std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+      };
+      for (const double value : cdf) {
+        for (const double u : {std::nextafter(value, 0.0), value,
+                               std::nextafter(value, 1.0)}) {
+          ASSERT_EQ(zipf.RankOf(u), full_search(u))
+              << "n=" << n << " theta=" << theta << " u=" << u;
+        }
+      }
+      Rng rng(9);
+      Rng replay(9);
+      for (int i = 0; i < 1000000; ++i) {
+        ASSERT_EQ(zipf.NextRank(rng), full_search(replay.NextDouble()))
+            << "n=" << n << " theta=" << theta << " draw " << i;
+      }
+    }
   }
 }
 
