@@ -31,7 +31,6 @@
 #include "prediction/online_predictor.h"
 #include "prediction/predictor.h"
 #include "prediction/predictor_spec.h"
-#include "prediction/refit_policy.h"
 #include "prediction/spar_model.h"
 #include "trace/b2w_trace_generator.h"
 #include "trace/spike_injector.h"
@@ -188,14 +187,14 @@ EngineRunResult RunEngineExperiment(const EngineRunConfig& config) {
     std::unique_ptr<LoadPredictor> model;
     if (config.oracle_predictor) {
       model = std::make_unique<OraclePredictor>(trace);
-    } else if (!config.predictor_spec.empty()) {
+    } else if (!config.spec.predictor_spec.empty()) {
       // Spec-built model at the trace-minute granularity the online
       // predictor observes: daily period, 4-hour max horizon.
       PredictorContext context;
       context.period = 1440;
       context.max_tau = 240;
       StatusOr<std::unique_ptr<LoadPredictor>> made =
-          MakePredictor(config.predictor_spec, context);
+          MakePredictor(config.spec.predictor_spec, context);
       PSTORE_CHECK_OK(made.status());
       model = std::move(*made);
     } else {
@@ -207,15 +206,8 @@ EngineRunResult RunEngineExperiment(const EngineRunConfig& config) {
       spar_options.tau_stride = 5;
       model = std::make_unique<SparPredictor>(spar_options);
     }
-    std::unique_ptr<RefitPolicy> refit_policy;
-    if (!config.refit_policy.empty()) {
-      StatusOr<std::unique_ptr<RefitPolicy>> policy =
-          ParseRefitPolicy(config.refit_policy);
-      PSTORE_CHECK_OK(policy.status());
-      refit_policy = std::move(*policy);
-    }
-    predictor = std::make_unique<OnlinePredictor>(
-        std::move(model), online_options, std::move(refit_policy));
+    predictor =
+        std::make_unique<OnlinePredictor>(std::move(model), online_options);
     predictor->set_tracer(config.spec.tracer,
                           [&loop] { return loop.now(); });
     PSTORE_CHECK_OK(predictor->Warmup(trace.Slice(0, replay_begin)));

@@ -37,6 +37,13 @@ void CloseCsv(CsvWriter* csv);
 //   spec.strategy - kPredictive / kReactive / kStatic (kSimple has no
 //                   engine controller and is rejected)
 //   spec.seed     - trace generator seed; equal seeds, equal workloads
+//   spec.predictor_spec - kPredictive only, ignored under
+//                   oracle_predictor: predictor spec string
+//                   (prediction/predictor_spec.h) for the online model,
+//                   built with a daily period and a 4-hour max_tau, e.g.
+//                   "shift(spar(n=7,m=30))" or "ensemble(spar,ar,hw)".
+//                   Empty keeps the paper's SPAR(7,30). Must build; the
+//                   run CHECKs.
 //   spec.tracer   - optional structured tracer wired through the whole
 //                   stack (engine, driver, migration, predictor,
 //                   controller, faults). The run emits sla.window events
@@ -56,14 +63,6 @@ struct EngineRunConfig {
   // kPredictive only: drive the controller with a perfect oracle model
   // instead of SPAR (the paper's "P-Store Oracle" variant).
   bool oracle_predictor = false;
-  // kPredictive only (and ignored under oracle_predictor): predictor
-  // spec string (prediction/predictor_spec.h) for the online model —
-  // e.g. "shift(spar(n=7,m=30))" or "ensemble(spar,ar,hw)". Empty keeps
-  // the paper's SPAR(7,30) defaults. Must parse; the run CHECKs.
-  std::string predictor_spec;
-  // Optional refit-policy spec ("interval(slots=N)", "shift(...)" — see
-  // prediction/refit_policy.h). Empty keeps the weekly interval refit.
-  std::string refit_policy;
   // Days of trace replayed (after the training window).
   int replay_days = 3;
   // Days of history used to train SPAR (and to warm the predictor).

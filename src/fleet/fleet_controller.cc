@@ -10,6 +10,7 @@
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "fleet/placement.h"
+#include "fleet/tenant_forecaster.h"
 #include "obs/trace_event.h"
 #include "obs/tracer.h"
 #include "planner/move_model_table.h"
@@ -18,6 +19,29 @@
 
 namespace pstore {
 namespace fleet {
+
+StatusOr<TenantForecaster> MakeTenantForecaster(
+    const FleetControllerOptions& options) {
+  if (options.forecast_spec.empty()) {
+    return TenantForecaster(options.forecast_period_slots,
+                            options.forecast_recent_window);
+  }
+  PredictorContext context;
+  context.period = options.forecast_period_slots;
+  context.max_tau = 4;
+  StatusOr<std::unique_ptr<LoadPredictor>> model =
+      MakePredictor(options.forecast_spec, context);
+  if (!model.ok()) return model.status();
+  return TenantForecaster(options.forecast_period_slots,
+                          options.forecast_recent_window, std::move(*model),
+                          options.forecast_refit_interval);
+}
+
+bool IsSpike(const FleetControllerOptions& options, double observed,
+             double forecast) {
+  return observed >= options.spike_min_demand &&
+         observed > options.spike_replan_factor * forecast;
+}
 
 FleetController::FleetController(const FleetControllerOptions& options,
                                  std::vector<int> tenant_partitions,
@@ -28,22 +52,10 @@ FleetController::FleetController(const FleetControllerOptions& options,
       planner_(options.placement, move_table),
       tracer_(tracer) {
   forecasters_.reserve(tenant_partitions_.size());
-  PredictorContext context;
-  context.period = options_.forecast_period_slots;
-  context.max_tau = 4;
   for (size_t t = 0; t < tenant_partitions_.size(); ++t) {
-    if (options_.forecast_spec.empty()) {
-      forecasters_.emplace_back(options_.forecast_period_slots,
-                                options_.forecast_recent_window);
-    } else {
-      StatusOr<std::unique_ptr<LoadPredictor>> model =
-          MakePredictor(options_.forecast_spec, context);
-      PSTORE_CHECK_OK(model.status());
-      forecasters_.emplace_back(options_.forecast_period_slots,
-                                options_.forecast_recent_window,
-                                std::move(*model),
-                                options_.forecast_refit_interval);
-    }
+    StatusOr<TenantForecaster> forecaster = MakeTenantForecaster(options_);
+    PSTORE_CHECK_OK(forecaster.status());
+    forecasters_.push_back(std::move(*forecaster));
   }
   forecast_.assign(tenant_partitions_.size(), 0.0);
 }
@@ -81,8 +93,7 @@ StatusOr<FleetCycleDecision> FleetController::Tick(
   std::vector<double> spike_floor(tenants, 0.0);
   if (!observed.empty()) {
     for (size_t t = 0; t < tenants; ++t) {
-      if (cycles_ > 0 && observed[t] >= options_.spike_min_demand &&
-          observed[t] > options_.spike_replan_factor * forecast_[t]) {
+      if (cycles_ > 0 && IsSpike(options_, observed[t], forecast_[t])) {
         spike = true;
         spike_floor[t] = observed[t];
       }

@@ -37,13 +37,27 @@ struct FleetControllerOptions {
   // Optional predictor spec (prediction/predictor_spec.h, e.g.
   // "ar(p=8)" or "shift(spar)"): when non-empty, every tenant carries a
   // spec-built model re-fitted each `forecast_refit_interval` cycles,
-  // with the built-in seasonal forecast as the fallback. Must parse —
-  // validate with ParsePredictorSpec first; the controller CHECKs.
+  // with the built-in seasonal forecast as the fallback. Must build —
+  // validate with MakeTenantForecaster first; the controller CHECKs.
   // Empty (default) keeps the cheap built-in forecaster, bit-identical
   // to before this knob existed.
   std::string forecast_spec;
   size_t forecast_refit_interval = 288;
 };
+
+// Builds one tenant's forecaster from `options`: the built-in seasonal
+// forecaster, or the `forecast_spec` model with the seasonal forecast
+// as its fallback. Every tenant forecaster, in the shared pool and in
+// the dedicated baseline, comes from here. Fails when the spec does not
+// build a model.
+StatusOr<TenantForecaster> MakeTenantForecaster(
+    const FleetControllerOptions& options);
+
+// The spike rule of both modes: a tenant's observed demand blew past
+// spike_replan_factor times what was forecast for it, so the cycle is
+// re-planned with the observation as the demand floor.
+bool IsSpike(const FleetControllerOptions& options, double observed,
+             double forecast);
 
 // What one provisioning cycle decided.
 struct FleetCycleDecision {

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <utility>
 
+#include "common/check.h"
 #include "common/sim_time.h"
 #include "common/status.h"
 #include "common/strong_id.h"
@@ -43,12 +44,12 @@ double ResizeCost(const MoveModelTable& table, const PlannerParams& params,
   return MoveCost(b, a, params);
 }
 
-// Per-tenant spike floor shared by both modes: the observed demand when
-// it blew past the factor over what was forecast for it.
-bool IsSpike(const FleetControllerOptions& options, double observed,
-             double forecast) {
-  return observed >= options.spike_min_demand &&
-         observed > options.spike_replan_factor * forecast;
+// Coarse demand of provisioning cycle `c`: the mean of its `kk` fine
+// slots, summed in slot order. Both modes observe these values.
+double CycleMean(const std::vector<double>& fine, size_t c, size_t kk) {
+  double sum = 0.0;
+  for (size_t f = c * kk; f < (c + 1) * kk; ++f) sum += fine[f];
+  return sum / static_cast<double>(kk);
 }
 
 }  // namespace
@@ -165,6 +166,9 @@ Status FleetSimulator::BuildDemandGrid(ThreadPool* pool) {
 }
 
 StatusOr<FleetResult> FleetSimulator::Simulate(FleetMode mode, ThreadPool* pool) {
+  // A forecast spec that does not build fails here, before either mode
+  // builds (and CHECKs) one forecaster per tenant.
+  RETURN_IF_ERROR(MakeTenantForecaster(options_.controller).status());
   RETURN_IF_ERROR(BuildDemandGrid(pool));
   StatusOr<FleetResult> result = mode == FleetMode::kFleet
                                      ? RunFleet(pool)
@@ -218,16 +222,11 @@ StatusOr<FleetResult> FleetSimulator::RunFleet(ThreadPool* pool) {
   const size_t cycles = grid_fine_slots_ / kk;
   size_t warmup_cycles = std::min(options_.eval_begin / kk, cycles - 1);
 
-  // Coarse per-cycle demand: the mean of the cycle's fine slots.
   std::vector<std::vector<double>> coarse(
       tenants_.size(), std::vector<double>(cycles, 0.0));
   for (size_t t = 0; t < tenants_.size(); ++t) {
     for (size_t c = 0; c < cycles; ++c) {
-      double sum = 0.0;
-      for (size_t f = c * kk; f < (c + 1) * kk; ++f) {
-        sum += fine_demand_[t][f];
-      }
-      coarse[t][c] = sum / static_cast<double>(kk);
+      coarse[t][c] = CycleMean(fine_demand_[t], c, kk);
     }
   }
 
@@ -377,14 +376,12 @@ StatusOr<FleetResult> FleetSimulator::RunDedicated(ThreadPool* pool) {
       tenants_.size(), std::vector<int>(cycles - warmup_cycles, 0));
 
   const auto run_one = [&, this](size_t t) {
-    TenantForecaster forecaster(options_.controller.forecast_period_slots,
-                                options_.controller.forecast_recent_window);
+    StatusOr<TenantForecaster> made =
+        MakeTenantForecaster(options_.controller);
+    PSTORE_CHECK_OK(made.status());  // validated in Simulate
+    TenantForecaster& forecaster = *made;
     for (size_t c = 0; c < warmup_cycles; ++c) {
-      double sum = 0.0;
-      for (size_t f = c * kk; f < (c + 1) * kk; ++f) {
-        sum += fine_demand_[t][f];
-      }
-      forecaster.Observe(sum / static_cast<double>(kk));
+      forecaster.Observe(CycleMean(fine_demand_[t], c, kk));
     }
 
     int nodes = 0;
@@ -393,11 +390,7 @@ StatusOr<FleetResult> FleetSimulator::RunDedicated(ThreadPool* pool) {
     for (size_t c = warmup_cycles; c < cycles; ++c) {
       double spike_floor = 0.0;
       if (c > warmup_cycles) {
-        double sum = 0.0;
-        for (size_t f = (c - 1) * kk; f < c * kk; ++f) {
-          sum += fine_demand_[t][f];
-        }
-        const double observed = sum / static_cast<double>(kk);
+        const double observed = CycleMean(fine_demand_[t], c - 1, kk);
         if (IsSpike(options_.controller, observed, last_forecast)) {
           spike_floor = observed;
           ++tenant_spikes[t];

@@ -53,7 +53,12 @@ struct FleetOptions {
   // direct move-model functions.
   int table_max_nodes = 256;
   // Dedicated baseline: cycles a lower target must persist before the
-  // tenant scales in (same hysteresis as the per-tenant simulator).
+  // tenant scales in. The rule is not CapacitySimulator's: a dedicated
+  // tenant has no DP plan, only a one-cycle-ahead forecast, so it
+  // confirms a ceil(inflated forecast / Q) target and any cycle without
+  // a lower target resets the count. CapacitySimulator confirms the DP
+  // plan's first move and keeps its votes while that scale-in is still
+  // in the future.
   int scale_in_confirm_cycles = 3;
 };
 

@@ -8,30 +8,18 @@
 #include "common/time_series.h"
 #include "obs/tracer.h"
 #include "obs/wall_timer.h"
-#include "prediction/refit_policy.h"
 
 namespace pstore {
 
 OnlinePredictor::OnlinePredictor(std::unique_ptr<LoadPredictor> model,
                                  const OnlinePredictorOptions& options)
-    : OnlinePredictor(std::move(model), options, nullptr) {}
-
-OnlinePredictor::OnlinePredictor(std::unique_ptr<LoadPredictor> model,
-                                 const OnlinePredictorOptions& options,
-                                 std::unique_ptr<RefitPolicy> policy)
-    : model_(std::move(model)),
-      options_(options),
-      policy_(std::move(policy)) {
+    : model_(std::move(model)), options_(options) {
   PSTORE_CHECK(model_ != nullptr);
   PSTORE_CHECK(options_.refit_interval >= 1);
   PSTORE_CHECK(options_.training_window >= 2);
   PSTORE_CHECK(options_.inflation > 0.0);
   PSTORE_CHECK(options_.auto_inflation_quantile > 0.0 &&
                options_.auto_inflation_quantile <= 1.0);
-  if (policy_ == nullptr) {
-    policy_ = std::unique_ptr<RefitPolicy>(
-        new IntervalRefitPolicy(options_.refit_interval));
-  }
   effective_inflation_ = options_.inflation;
 }
 
@@ -78,7 +66,6 @@ Status OnlinePredictor::Warmup(const TimeSeries& history) {
   fitted_ = status.ok();
   observations_since_fit_ = 0;
   ++refits_;
-  policy_->OnRefit(status.ok());
   if (fitted_ && options_.auto_inflation) CalibrateInflation(training);
   PSTORE_TRACE(tracer_, ::pstore::obs::TraceCategory::kPredictor,
                trace_now_ ? trace_now_() : 0, "predictor.fit",
@@ -91,26 +78,12 @@ Status OnlinePredictor::Warmup(const TimeSeries& history) {
 }
 
 void OnlinePredictor::Observe(double value) {
-  RefitSignal signal;
-  // Residual-watching policies (shift detection) need the one-step
-  // forecast the model would have made for this slot; others skip the
-  // extra model call entirely.
-  if (policy_->wants_residuals() && fitted_ && !history_.empty()) {
-    StatusOr<double> predicted = model_->PredictAhead(history_, 1);
-    if (predicted.ok()) {
-      signal.has_residual = true;
-      signal.actual = value;
-      signal.predicted = *predicted;
-    }
-  }
   history_.Append(value);
   ++observations_since_fit_;
   // v2 online hook: adaptive models (shift-aware, ensembles) track
   // their own rolling state from the growing history.
   (void)model_->Update(history_);
-  signal.slots_since_fit = observations_since_fit_;
-  signal.fitted = fitted_;
-  if (policy_->ShouldRefit(signal)) {
+  if (observations_since_fit_ >= options_.refit_interval) {
     Refit();
   }
 }
@@ -125,7 +98,6 @@ void OnlinePredictor::Refit() {
     fitted_ = true;
     if (options_.auto_inflation) CalibrateInflation(training);
   }
-  policy_->OnRefit(status.ok());
   // On failure (e.g., not enough history yet) we keep the previous fit if
   // any; the controller keeps running either way.
   PSTORE_TRACE(tracer_, ::pstore::obs::TraceCategory::kPredictor,

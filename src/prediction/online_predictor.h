@@ -13,7 +13,6 @@
 #include "obs/tracer.h"
 #include "prediction/event_calendar.h"
 #include "prediction/predictor.h"
-#include "prediction/refit_policy.h"
 
 namespace pstore {
 
@@ -22,10 +21,10 @@ namespace pstore {
 // system over time and can actively learn the parameter values").
 struct OnlinePredictorOptions {
   // Refit the underlying model every this many observed slots. The paper
-  // found refitting SPAR once per week to be sufficient. Only consulted
-  // when no explicit RefitPolicy is supplied: the default policy is
-  // IntervalRefitPolicy(refit_interval). Prefer passing a policy over
-  // poking this field.
+  // found refitting SPAR once per week to be sufficient. This is the only
+  // refit cadence; a shift-triggered refit comes from wrapping the model
+  // in the shift(...) predictor spec (ShiftAwarePredictor), which refits
+  // itself from Update().
   size_t refit_interval = 7 * 1440;
   // Number of most recent slots used as the training window when
   // refitting (the paper trains on 4 weeks).
@@ -51,21 +50,15 @@ struct OnlinePredictorOptions {
 // the controller always has something to plan with.
 class OnlinePredictor {
  public:
-  // Refits on the interval policy derived from options.refit_interval.
   OnlinePredictor(std::unique_ptr<LoadPredictor> model,
                   const OnlinePredictorOptions& options);
-  // Refits whenever `policy` says so (e.g. ShiftRefitPolicy re-fits the
-  // moment rolling residuals betray a workload shift).
-  OnlinePredictor(std::unique_ptr<LoadPredictor> model,
-                  const OnlinePredictorOptions& options,
-                  std::unique_ptr<RefitPolicy> policy);
 
   // Seeds the history with pre-recorded measurements (e.g., 4 weeks of
   // historical data) and fits the model on it.
   Status Warmup(const TimeSeries& history);
 
   // Appends one observed slot, forwards it to the model's Update() hook,
-  // and refits when the policy asks for it.
+  // and refits when the refit interval elapses.
   void Observe(double value);
 
   // Inflated forecast for slots 1..horizon past the last observation.
@@ -76,7 +69,6 @@ class OnlinePredictor {
 
   const TimeSeries& history() const { return history_; }
   const LoadPredictor& model() const { return *model_; }
-  const RefitPolicy& policy() const { return *policy_; }
 
   // Fit attempts so far (successful or not), including Warmup.
   size_t refits() const { return refits_; }
@@ -114,7 +106,6 @@ class OnlinePredictor {
 
   std::unique_ptr<LoadPredictor> model_;
   OnlinePredictorOptions options_;
-  std::unique_ptr<RefitPolicy> policy_;
   EventCalendar calendar_;
   TimeSeries history_;
   size_t observations_since_fit_ = 0;

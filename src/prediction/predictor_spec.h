@@ -53,10 +53,10 @@ struct PredictorContext {
   size_t max_tau = 60;
 };
 
-// Typed param accessors used by the factories (and the refit-policy
-// parser). Consume* erases the key so CheckSpecParamsConsumed can reject
-// typo'd or unsupported keys. Returns true iff the key was present; the
-// output is left untouched when absent.
+// Typed param accessors used by the factories. Consume* erases the key
+// so CheckSpecParamsConsumed can reject typo'd or unsupported keys.
+// Returns true iff the key was present; the output is left untouched
+// when absent.
 StatusOr<bool> ConsumeSpecParam(PredictorSpec* spec, const std::string& key,
                                 size_t* out);
 StatusOr<bool> ConsumeSpecParam(PredictorSpec* spec, const std::string& key,

@@ -7,9 +7,9 @@
 namespace pstore {
 
 // Rolling mean of one-step relative forecast residuals over a fixed-size
-// ring. Shared by the shift-triggered refit policy, ShiftAwarePredictor,
-// and EnsemblePredictor. Slots whose actual load is below kMreMinActual
-// (see predictor.h) are skipped, mirroring the MRE reporting guard, so a
+// ring. Shared by ShiftAwarePredictor (the one shift detector) and
+// EnsemblePredictor. Slots whose actual load is below kMreMinActual (see
+// predictor.h) are skipped, mirroring the MRE reporting guard, so a
 // burst of idle slots cannot fake a distribution shift.
 class RollingResidualTracker {
  public:

@@ -450,6 +450,45 @@ TEST(FleetSimulatorTest, FleetPackingBeatsDedicatedAtEqualSla) {
   EXPECT_LT(fleet->peak_machines, dedicated->peak_machines);
 }
 
+TenantMixOptions SmallMix() {
+  TenantMixOptions mix;
+  mix.b2w_tenants = 4;
+  mix.wikipedia_tenants = 2;
+  mix.ycsb_tenants = 2;
+  mix.step_tenants = 2;
+  mix.days = 2;
+  return mix;
+}
+
+// The dedicated baseline forecasts with the pool's forecast spec, so
+// --forecast=X --mode=both compares like with like.
+TEST(FleetSimulatorTest, DedicatedBaselineUsesForecastSpec) {
+  FleetOptions options;
+  options.eval_begin = 1440;
+  FleetSimulator builtin(options, MakeTenantMix(SmallMix()));
+  options.controller.forecast_spec = "last_value";
+  FleetSimulator spec(options, MakeTenantMix(SmallMix()));
+
+  const StatusOr<FleetResult> a =
+      builtin.Simulate(FleetMode::kDedicated, nullptr);
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  const StatusOr<FleetResult> b = spec.Simulate(FleetMode::kDedicated, nullptr);
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  EXPECT_NE(FleetCsvRows(*a), FleetCsvRows(*b));
+}
+
+TEST(FleetSimulatorTest, UnbuildableForecastSpecIsAStatus) {
+  FleetOptions options;
+  options.eval_begin = 1440;
+  for (const char* spec : {"nosuch", "ar(p=0)"}) {
+    options.controller.forecast_spec = spec;
+    FleetSimulator simulator(options, MakeTenantMix(SmallMix()));
+    EXPECT_FALSE(simulator.Simulate(FleetMode::kFleet, nullptr).ok()) << spec;
+    EXPECT_FALSE(simulator.Simulate(FleetMode::kDedicated, nullptr).ok())
+        << spec;
+  }
+}
+
 }  // namespace
 }  // namespace fleet
 }  // namespace pstore

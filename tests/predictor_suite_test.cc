@@ -1,9 +1,9 @@
 // Predictor suite v2: spec grammar round-trips, the registry factory,
-// the shift-aware wrapper, matrix factorization, the ensemble, refit
-// policies, and the walk-forward backtest harness (including the
-// idle-window MRE guard). The step-change tests pin the headline v2
-// behavior: a shift-aware model re-fits within one epoch of a regime
-// shift while the plain static model degrades.
+// the shift-aware wrapper (alone and under OnlinePredictor), matrix
+// factorization, the ensemble, and the walk-forward backtest harness
+// (including the idle-window MRE guard). The step-change tests pin the
+// headline v2 behavior: a shift-aware model re-fits within one epoch of
+// a regime shift while the plain static model degrades.
 
 #include <gtest/gtest.h>
 
@@ -23,7 +23,6 @@
 #include "prediction/online_predictor.h"
 #include "prediction/predictor.h"
 #include "prediction/predictor_spec.h"
-#include "prediction/refit_policy.h"
 #include "prediction/residual_tracker.h"
 #include "prediction/shift_aware.h"
 #include "prediction/spar_model.h"
@@ -381,76 +380,9 @@ TEST(EnsembleTest, WeightModeNormalizesWeights) {
   EXPECT_GT(*prediction, 0.0);
 }
 
-// ---- Refit policies -------------------------------------------------------
+// ---- Online harness -------------------------------------------------------
 
-TEST(RefitPolicyTest, IntervalPolicyKeepsCadence) {
-  IntervalRefitPolicy policy(3);
-  EXPECT_FALSE(policy.wants_residuals());
-  size_t refits = 0;
-  RefitSignal signal;
-  signal.fitted = true;
-  for (size_t slot = 1; slot <= 12; ++slot) {
-    ++signal.slots_since_fit;
-    if (policy.ShouldRefit(signal)) {
-      policy.OnRefit(true);
-      signal.slots_since_fit = 0;
-      ++refits;
-    }
-  }
-  EXPECT_EQ(refits, 4u);
-}
-
-TEST(RefitPolicyTest, ShiftPolicyTriggersOnResidualJump) {
-  ShiftRefitPolicyOptions options;
-  options.window = 16;
-  options.threshold = 2.0;
-  options.min_mre = 0.05;
-  options.cooldown = 32;
-  options.max_interval = 100000;
-  ShiftRefitPolicy policy(options);
-  EXPECT_TRUE(policy.wants_residuals());
-
-  RefitSignal signal;
-  signal.fitted = true;
-  signal.has_residual = true;
-  signal.actual = 100.0;
-  // Calm phase: 2% residuals build the baseline, no triggers.
-  signal.predicted = 102.0;
-  for (size_t slot = 0; slot < 200; ++slot) {
-    ++signal.slots_since_fit;
-    ASSERT_FALSE(policy.ShouldRefit(signal)) << "slot " << slot;
-  }
-  EXPECT_EQ(policy.triggered_refits(), 0u);
-  // Shift: 40% residuals push the rolling mean past 2x baseline.
-  signal.predicted = 140.0;
-  bool triggered = false;
-  for (size_t slot = 0; slot < 64 && !triggered; ++slot) {
-    ++signal.slots_since_fit;
-    triggered = policy.ShouldRefit(signal);
-    if (triggered) {
-      // The degraded window is visible at trigger time; OnRefit resets
-      // the tracker for the refreshed model.
-      EXPECT_GT(policy.recent_mean(), 0.05);
-      policy.OnRefit(true);
-    }
-  }
-  EXPECT_TRUE(triggered);
-  EXPECT_EQ(policy.triggered_refits(), 1u);
-}
-
-TEST(RefitPolicyTest, ParseRoundTripsAndRejectsUnknown) {
-  StatusOr<std::unique_ptr<RefitPolicy>> interval =
-      ParseRefitPolicy("interval(slots=10)");
-  ASSERT_TRUE(interval.ok());
-  EXPECT_EQ((*interval)->name(), "interval");
-  StatusOr<std::unique_ptr<RefitPolicy>> shift =
-      ParseRefitPolicy("shift(window=64,threshold=3.0)");
-  ASSERT_TRUE(shift.ok());
-  EXPECT_EQ((*shift)->name(), "shift");
-  EXPECT_FALSE(ParseRefitPolicy("cron(daily)").ok());
-  EXPECT_FALSE(ParseRefitPolicy("interval(slots=zero)").ok());
-}
-
+// The interval cadence: one refit per refit_interval observed slots.
 TEST(OnlinePredictorTest, CountsRefitsThroughThePolicy) {
   OnlinePredictorOptions options;
   options.refit_interval = kPeriod;
@@ -466,6 +398,58 @@ TEST(OnlinePredictorTest, CountsRefitsThroughThePolicy) {
   // 4 periods observed at a 1-period cadence.
   EXPECT_EQ(online.refits(), 5u);
   EXPECT_TRUE(online.fitted());
+}
+
+// The shift(...) spec is the only shift detector: under OnlinePredictor
+// it re-fits from the Update() hook, with no help from the interval
+// cadence (refit_interval outlasts the run).
+std::unique_ptr<OnlinePredictor> ShiftOnline() {
+  StatusOr<std::unique_ptr<LoadPredictor>> model = MakePredictor(
+      "shift(spar(n=3,m=6),window=24,threshold=1.5,min_mre=0.05,"
+      "cooldown=96)",
+      SmallContext());
+  EXPECT_TRUE(model.ok()) << model.status().ToString();
+  if (!model.ok()) return nullptr;
+  OnlinePredictorOptions options;
+  options.refit_interval = 1000 * kPeriod;
+  options.training_window = 10 * kPeriod;
+  options.inflation = 1.0;
+  return std::make_unique<OnlinePredictor>(std::move(*model), options);
+}
+
+const ShiftAwarePredictor& ShiftModel(const OnlinePredictor& online) {
+  return dynamic_cast<const ShiftAwarePredictor&>(online.model());
+}
+
+TEST(OnlinePredictorTest, ShiftSpecRefitsAfterWorkloadShift) {
+  const size_t shift_at = 10 * kPeriod;
+  const TimeSeries series = RandomProfileSeries(20, 0.01, 11, shift_at);
+  std::unique_ptr<OnlinePredictor> online = ShiftOnline();
+  ASSERT_NE(online, nullptr);
+  ASSERT_TRUE(online->Warmup(series.Slice(0, shift_at)).ok());
+  size_t first_refit_slot = 0;
+  for (size_t t = shift_at; t < series.size(); ++t) {
+    online->Observe(series[t]);
+    if (first_refit_slot == 0 && ShiftModel(*online).refits() > 0) {
+      first_refit_slot = t;
+    }
+  }
+  ASSERT_GE(ShiftModel(*online).refits(), 1u);
+  EXPECT_LT(first_refit_slot, shift_at + 2 * kPeriod);
+  // Every re-fit came from the detector: the interval never fired.
+  EXPECT_EQ(online->refits(), 1u);
+}
+
+TEST(OnlinePredictorTest, ShiftSpecNeverRefitsOnStationarySeries) {
+  const TimeSeries series = RandomProfileSeries(20, 0.01, 11);
+  std::unique_ptr<OnlinePredictor> online = ShiftOnline();
+  ASSERT_NE(online, nullptr);
+  ASSERT_TRUE(online->Warmup(series.Slice(0, 10 * kPeriod)).ok());
+  for (size_t t = 10 * kPeriod; t < series.size(); ++t) {
+    online->Observe(series[t]);
+  }
+  EXPECT_EQ(ShiftModel(*online).refits(), 0u);
+  EXPECT_EQ(online->refits(), 1u);
 }
 
 // ---- Backtest harness -----------------------------------------------------

@@ -13,12 +13,11 @@
 //                              "oracle" = perfect hindsight (default), or
 //                              any predictor spec — "ar(p=8)",
 //                              "last_value", "ensemble(ar,last_value)";
-//                              see prediction/predictor_spec.h)
-//       [--refit-policy=SPEC] (when to re-fit the online model:
-//                              "interval(slots=N)" or
-//                              "shift(window=...,threshold=...)"; default
-//                              for spec'd predictors is
-//                              interval(slots=150), oracle never re-fits)
+//                              see prediction/predictor_spec.h. A spec'd
+//                              model re-fits every 150 slots; wrap it in
+//                              "shift(...)" to also re-fit when its
+//                              residuals show a workload shift. The
+//                              oracle never re-fits.)
 //   Scripted drill (crash node mid-scale-out):
 //       pstore_chaos --crash-node=2 --crash-at=640 --recover-at=700
 //   Seeded-random drill (reproducible: same --seed, same stream):
@@ -30,6 +29,7 @@
 // is then run once per controller, concurrently on --threads N worker
 // threads (default: hardware concurrency), with reports printed in
 // controller order — identical output for any thread count.
+// Unknown flags are rejected.
 //
 // Machine-readable outputs:
 //   --trace-out=run.jsonl   structured event trace across the whole
@@ -41,6 +41,7 @@
 
 #include <cstdio>
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -70,7 +71,6 @@
 #include "prediction/online_predictor.h"
 #include "prediction/predictor.h"
 #include "prediction/predictor_spec.h"
-#include "prediction/refit_policy.h"
 #include "sim/run_spec.h"
 
 using namespace pstore;
@@ -90,11 +90,20 @@ struct DrillConfig {
   double total_seconds = 0.0;
   std::vector<FaultEvent> faults;
   // Forecast model for the pstore controller: "oracle" (perfect
-  // hindsight) or a predictor spec string, plus an optional refit-policy
-  // spec. Both are validated in main(), so RunDrill may CHECK them.
+  // hindsight) or a predictor spec string. Validated in main(), so
+  // RunDrill may CHECK it.
   std::string predictor_spec = "oracle";
-  std::string refit_policy;
 };
+
+// Context for a spec'd forecast model: period = one day of monitoring
+// slots, max_tau = the fine horizon the controller requests
+// (horizon_plan_slots * plan_slot_factor in RunDrill).
+PredictorContext DrillPredictorContext(double slot_seconds) {
+  PredictorContext context;
+  context.period = static_cast<size_t>(86400.0 / slot_seconds + 0.5);
+  context.max_tau = 100;
+  return context;
+}
 
 // Everything the report prints, snapshotted so drills can run
 // concurrently and print afterwards, in order.
@@ -179,42 +188,29 @@ DrillResult RunDrill(const DrillConfig& config) {
     const bool use_oracle = config.predictor_spec == "oracle";
     OnlinePredictorOptions predictor_options;
     predictor_options.inflation = 1.1;
-    predictor_options.refit_interval = 1u << 30;
+    predictor_options.refit_interval = 1u << 30;  // the oracle never re-fits
     predictor_options.training_window = 10;
     std::unique_ptr<LoadPredictor> model;
     if (use_oracle) {
       model = std::make_unique<OraclePredictor>(trace);
     } else {
-      // Real models train on the growing history: period = one day of
-      // monitoring slots, max_tau = the fine horizon the controller
-      // requests (horizon_plan_slots * plan_slot_factor below).
-      PredictorContext context;
-      context.period = static_cast<size_t>(86400.0 / slot_seconds + 0.5);
-      context.max_tau = 100;
-      StatusOr<std::unique_ptr<LoadPredictor>> made =
-          MakePredictor(config.predictor_spec, context);
+      // Real models re-fit on the whole growing history every 150 slots.
+      StatusOr<std::unique_ptr<LoadPredictor>> made = MakePredictor(
+          config.predictor_spec, DrillPredictorContext(slot_seconds));
       PSTORE_CHECK_OK(made.status());
       model = std::move(*made);
+      predictor_options.refit_interval = 150;
       predictor_options.training_window = trace.size();
     }
-    std::unique_ptr<RefitPolicy> policy;
-    if (!config.refit_policy.empty()) {
-      StatusOr<std::unique_ptr<RefitPolicy>> parsed_policy =
-          ParseRefitPolicy(config.refit_policy);
-      PSTORE_CHECK_OK(parsed_policy.status());
-      policy = std::move(*parsed_policy);
-    } else if (!use_oracle) {
-      policy = std::make_unique<IntervalRefitPolicy>(150);
-    }
-    online = std::make_unique<OnlinePredictor>(
-        std::move(model), predictor_options, std::move(policy));
+    online = std::make_unique<OnlinePredictor>(std::move(model),
+                                               predictor_options);
     online->set_tracer(tracer, [&loop] { return loop.now(); });
     if (use_oracle) {
       PSTORE_CHECK_OK(online->Warmup(trace.Slice(0, 1)));
     } else {
       // A spec'd model rarely has enough history at t=0; the online
-      // wrapper serves the flat fallback until the refit policy lands a
-      // successful fit.
+      // wrapper serves the flat fallback until a periodic re-fit
+      // succeeds.
       (void)online->Warmup(trace.Slice(0, 1));
     }
     PredictiveControllerOptions options;
@@ -375,6 +371,17 @@ int main(int argc, char** argv) {
   FlagParser flags;
   const Status parsed = flags.Parse(argc - 1, argv + 1);
   if (!parsed.ok()) return Fail(parsed.ToString());
+  static const std::set<std::string> kKnownFlags = {
+      "minutes", "nodes", "base-rate", "peak-rate", "step-minute",
+      "crash-node", "crash-at", "recover-at", "seed", "crash-rate",
+      "straggler-rate", "degrade-rate", "chunk-abort-rate", "mean-outage",
+      "mean-straggler", "mean-degrade", "threads", "predictor",
+      "controller", "trace-out", "bench-json"};
+  for (const auto& [name, value] : flags.flags()) {
+    if (kKnownFlags.count(name) == 0) {
+      return Fail("--" + name + ": unknown flag");
+    }
+  }
 
   const StatusOr<int64_t> minutes = flags.GetInt("minutes", 24);
   const StatusOr<int64_t> nodes = flags.GetInt("nodes", 2);
@@ -457,22 +464,15 @@ int main(int argc, char** argv) {
                   random.events().end());
   }
 
-  // Forecast model + refit policy for pstore drills, validated up front
-  // (RunDrill CHECKs, so a typo must fail here with a real message).
+  // Forecast model for pstore drills, built once here with the drills'
+  // own context (RunDrill CHECKs, so a typo or an out-of-range knob must
+  // fail here with a real message).
   const std::string predictor_spec = flags.GetString("predictor", "oracle");
   if (predictor_spec != "oracle") {
-    const StatusOr<PredictorSpec> spec_check =
-        ParsePredictorSpec(predictor_spec);
-    if (!spec_check.ok()) {
-      return Fail("--predictor: " + spec_check.status().ToString());
-    }
-  }
-  const std::string refit_policy = flags.GetString("refit-policy", "");
-  if (!refit_policy.empty()) {
-    const StatusOr<std::unique_ptr<RefitPolicy>> policy_check =
-        ParseRefitPolicy(refit_policy);
-    if (!policy_check.ok()) {
-      return Fail("--refit-policy: " + policy_check.status().ToString());
+    const StatusOr<std::unique_ptr<LoadPredictor>> model_check =
+        MakePredictor(predictor_spec, DrillPredictorContext(slot_seconds));
+    if (!model_check.ok()) {
+      return Fail("--predictor: " + model_check.status().ToString());
     }
   }
 
@@ -496,7 +496,6 @@ int main(int argc, char** argv) {
     drill.total_seconds = total_seconds;
     drill.faults = events;
     drill.predictor_spec = predictor_spec;
-    drill.refit_policy = refit_policy;
     drills.push_back(std::move(drill));
   }
 

@@ -38,11 +38,12 @@
 #include "common/flags.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
+#include "fleet/fleet_controller.h"
 #include "fleet/fleet_simulator.h"
 #include "fleet/tenant.h"
+#include "fleet/tenant_forecaster.h"
 #include "obs/metrics_registry.h"
 #include "obs/tracer.h"
-#include "prediction/predictor_spec.h"
 
 using namespace pstore;
 using namespace pstore::fleet;
@@ -163,15 +164,10 @@ int main(int argc, char** argv) {
   options.controller.placement.machine_capacity = *q;
   options.controller.placement.interference_per_tenant = *interference;
   options.controller.inflation = *inflation;
-  // Optional spec-built per-tenant forecasters; validated here because
-  // the FleetController CHECKs the spec it is given.
+  // Optional spec-built per-tenant forecasters, built once here the way
+  // every tenant's will be, so a bad spec fails with the flag's name.
   const std::string forecast_spec = flags.GetString("forecast", "");
   if (!forecast_spec.empty()) {
-    const StatusOr<PredictorSpec> spec_check =
-        ParsePredictorSpec(forecast_spec);
-    if (!spec_check.ok()) {
-      return Fail("--forecast: " + spec_check.status().ToString());
-    }
     const StatusOr<int64_t> forecast_refit =
         flags.GetInt("forecast-refit", 288);
     if (!forecast_refit.ok()) return Fail(forecast_refit.status().ToString());
@@ -179,6 +175,11 @@ int main(int argc, char** argv) {
     options.controller.forecast_spec = forecast_spec;
     options.controller.forecast_refit_interval =
         static_cast<size_t>(*forecast_refit);
+    const StatusOr<TenantForecaster> forecaster_check =
+        MakeTenantForecaster(options.controller);
+    if (!forecaster_check.ok()) {
+      return Fail("--forecast: " + forecaster_check.status().ToString());
+    }
   }
   options.machine_serve_capacity = *qhat;
   options.planner.target_rate_per_node = *q;
