@@ -166,6 +166,17 @@ Status FleetSimulator::BuildDemandGrid(ThreadPool* pool) {
 }
 
 StatusOr<FleetResult> FleetSimulator::Simulate(FleetMode mode, ThreadPool* pool) {
+  // Both modes size machines by Q and count violations against Q-hat.
+  const double q = options_.controller.placement.machine_capacity;
+  if (!std::isfinite(q) || q <= 0.0) {
+    return Status::InvalidArgument(
+        "machine_capacity must be positive and finite");
+  }
+  const double qhat = options_.machine_serve_capacity;
+  if (!std::isfinite(qhat) || qhat <= 0.0) {
+    return Status::InvalidArgument(
+        "machine_serve_capacity must be positive and finite");
+  }
   // A forecast spec that does not build fails here, before either mode
   // builds (and CHECKs) one forecaster per tenant.
   RETURN_IF_ERROR(MakeTenantForecaster(options_.controller).status());
@@ -360,9 +371,6 @@ StatusOr<FleetResult> FleetSimulator::RunDedicated(ThreadPool* pool) {
   const size_t warmup_cycles =
       std::min(options_.eval_begin / kk, cycles - 1);
   const double q = options_.controller.placement.machine_capacity;
-  if (!(q > 0.0)) {
-    return Status::InvalidArgument("machine_capacity must be positive");
-  }
 
   MoveModelTable table(options_.planner, NodeCount(options_.table_max_nodes));
 

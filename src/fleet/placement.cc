@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -18,59 +17,108 @@ namespace pstore {
 namespace fleet {
 namespace {
 
-// Mutable pool state during one Pack: per-machine load, partition count
-// and per-tenant partition counts (distinct-tenant interference needs
-// to know whether an arriving item's tenant is already resident).
+constexpr size_t kNoMachine = static_cast<size_t>(-1);
+
+// Mutable pool state during one Pack, as flat per-machine arrays: load,
+// partition count, distinct-tenant count, and the capacity the machine
+// would have if one more distinct tenant joined it. Whether an item's
+// tenant is already on a machine is answered from that tenant's own
+// items (at most its partition count), so BestFit is one pass over two
+// contiguous arrays.
 class Pool {
  public:
-  explicit Pool(const PlacementOptions& options) : options_(&options) {}
+  Pool(const PlacementOptions& options, const std::vector<int>& item_tenant,
+       const std::vector<size_t>& offsets)
+      : options_(&options),
+        item_tenant_(&item_tenant),
+        offsets_(&offsets),
+        item_machine_(item_tenant.size(), -1) {
+    CoverTenantCount(1);
+  }
 
   size_t size() const { return load_.size(); }
   double load(size_t m) const { return load_[m]; }
   int64_t partitions(size_t m) const { return partitions_[m]; }
   int distinct_tenants(size_t m) const {
-    return static_cast<int>(tenants_[m].size());
+    return static_cast<int>(tenants_[m]);
   }
+  // The item's machine, or -1 while it is unplaced.
+  int machine_of(size_t item) const { return item_machine_[item]; }
 
-  void EnsureMachine(size_t m) {
+  void Add(size_t m, size_t item, double demand) {
     if (m >= load_.size()) {
       load_.resize(m + 1, 0.0);
       partitions_.resize(m + 1, 0);
-      tenants_.resize(m + 1);
+      tenants_.resize(m + 1, 0);
+      join_capacity_.resize(m + 1, capacity_[1]);
+    }
+    const bool resident = TenantOn(item, static_cast<int>(m));
+    item_machine_[item] = static_cast<int>(m);
+    load_[m] += demand;
+    ++partitions_[m];
+    if (!resident) {
+      ++tenants_[m];
+      CoverTenantCount(tenants_[m] + 1);
+      join_capacity_[m] = capacity_[tenants_[m] + 1];
     }
   }
 
-  // Capacity of machine m after hypothetically adding one item of
-  // `tenant`.
-  double CapacityWith(size_t m, int tenant) const {
-    int distinct = distinct_tenants(m);
-    if (tenants_[m].find(tenant) == tenants_[m].end()) ++distinct;
-    return EffectiveMachineCapacity(*options_, distinct);
-  }
-
-  bool Fits(size_t m, double demand, int tenant) const {
-    return load_[m] + demand <= CapacityWith(m, tenant);
-  }
-
-  void Add(size_t m, double demand, int tenant) {
-    EnsureMachine(m);
-    load_[m] += demand;
-    ++partitions_[m];
-    ++tenants_[m][tenant];
-  }
-
-  void Remove(size_t m, double demand, int tenant) {
+  void Remove(size_t item, double demand) {
+    const int machine = item_machine_[item];
+    const size_t m = static_cast<size_t>(machine);
+    item_machine_[item] = -1;
     load_[m] -= demand;
     --partitions_[m];
-    auto it = tenants_[m].find(tenant);
-    if (it != tenants_[m].end() && --it->second == 0) tenants_[m].erase(it);
+    if (!TenantOn(item, machine)) {
+      --tenants_[m];
+      join_capacity_[m] = capacity_[tenants_[m] + 1];
+    }
     if (partitions_[m] == 0) load_[m] = 0.0;  // cancel rounding residue
   }
 
   // Over-capacity check for the machine as currently populated.
   bool Overloaded(size_t m) const {
-    return load_[m] >
-           EffectiveMachineCapacity(*options_, distinct_tenants(m));
+    return load_[m] > capacity_[tenants_[m]];
+  }
+
+  // Best-fit machine for the (unplaced) item among [0, size()), or
+  // kNoMachine. The fitting machine with the least capacity left after
+  // placement wins; ties break to the lowest machine id. Machines that
+  // already host the item's tenant charge no extra interference, so
+  // their join capacity is lowered for the scan and restored after it.
+  size_t BestFit(size_t item, double demand) {
+    const size_t tenant = static_cast<size_t>((*item_tenant_)[item]);
+    const auto set_join_capacity = [&](size_t joining) {
+      for (size_t i = (*offsets_)[tenant]; i < (*offsets_)[tenant + 1]; ++i) {
+        if (item_machine_[i] < 0) continue;
+        const size_t m = static_cast<size_t>(item_machine_[i]);
+        join_capacity_[m] = capacity_[tenants_[m] + joining];
+      }
+    };
+    set_join_capacity(0);
+    size_t best = kNoMachine;
+    double best_remaining = 0.0;
+    const double* load = load_.data();
+    const double* capacity = join_capacity_.data();
+    for (size_t m = 0, n = load_.size(); m < n; ++m) {
+      const double total = load[m] + demand;
+      if (!(total <= capacity[m])) continue;
+      const double remaining = capacity[m] - total;
+      if (best == kNoMachine || remaining < best_remaining) {
+        best = m;
+        best_remaining = remaining;
+      }
+    }
+    set_join_capacity(1);
+    return best;
+  }
+
+  // Lowest-id empty machine, or size() to open a new one.
+  size_t LowestFreeMachine() const {
+    for (size_t m = 0; m < partitions_.size(); ++m) {
+      if (partitions_[m] == 0) return m;
+    }
+    return partitions_.size();
   }
 
   int MachinesUsed() const {
@@ -82,60 +130,62 @@ class Pool {
   }
 
  private:
+  // Whether a placed item of `item`'s tenant is on machine m. Add and
+  // Remove ask while `item` itself is unplaced, so only its siblings
+  // count.
+  bool TenantOn(size_t item, int m) const {
+    const size_t tenant = static_cast<size_t>((*item_tenant_)[item]);
+    for (size_t i = (*offsets_)[tenant]; i < (*offsets_)[tenant + 1]; ++i) {
+      if (item_machine_[i] == m) return true;
+    }
+    return false;
+  }
+
+  // Extends the capacity memo through `tenants` distinct tenants.
+  void CoverTenantCount(size_t tenants) {
+    const size_t covered = capacity_.size();
+    if (covered > tenants) return;
+    capacity_.resize(tenants + 1);
+    for (size_t k = covered; k < capacity_.size(); ++k) {
+      capacity_[k] = EffectiveMachineCapacity(*options_, static_cast<int>(k));
+    }
+  }
+
   const PlacementOptions* options_;
+  const std::vector<int>* item_tenant_;
+  const std::vector<size_t>* offsets_;
+  std::vector<int> item_machine_;  // by flat partition index
+  // EffectiveMachineCapacity by distinct-tenant count.
+  std::vector<double> capacity_;
+  // By machine id.
   std::vector<double> load_;
   std::vector<int64_t> partitions_;
-  // Ordered map (vs. hash map) so any future traversal of a machine's
-  // tenant set is deterministic by construction; the per-machine tenant
-  // count is small, so the O(log n) lookups are immaterial.
-  std::vector<std::map<int, int>> tenants_;
+  std::vector<size_t> tenants_;         // distinct tenants
+  std::vector<double> join_capacity_;  // capacity_[tenants_ + 1]
 };
 
 // Items ordered for placement: demand descending, flat index ascending.
-std::vector<size_t> PlacementOrder(const std::vector<double>& item_demand) {
-  std::vector<size_t> order(item_demand.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    if (item_demand[a] != item_demand[b]) {
-      return item_demand[a] > item_demand[b];
-    }
-    return a < b;
+// The sort runs over (demand, index) pairs so the keys are contiguous.
+void SortForPlacement(const std::vector<double>& item_demand,
+                      std::vector<size_t>* items) {
+  std::vector<std::pair<double, size_t>> keyed;
+  keyed.reserve(items->size());
+  for (size_t i : *items) keyed.emplace_back(item_demand[i], i);
+  std::sort(keyed.begin(), keyed.end(), [](const auto& a, const auto& b) {
+    if (a.first != b.first) return a.first > b.first;
+    return a.second < b.second;
   });
-  return order;
-}
-
-// Best-fit machine for the item among [0, pool.size()), or npos. The
-// fitting machine with the least capacity left after placement wins;
-// ties break to the lowest machine id.
-size_t BestFit(const Pool& pool, double demand, int tenant) {
-  size_t best = static_cast<size_t>(-1);
-  double best_remaining = 0.0;
-  for (size_t m = 0; m < pool.size(); ++m) {
-    if (!pool.Fits(m, demand, tenant)) continue;
-    const double remaining =
-        pool.CapacityWith(m, tenant) - (pool.load(m) + demand);
-    if (best == static_cast<size_t>(-1) || remaining < best_remaining) {
-      best = m;
-      best_remaining = remaining;
-    }
-  }
-  return best;
-}
-
-// Lowest-id empty machine, or pool.size() to open a new one.
-size_t LowestFreeMachine(const Pool& pool) {
-  for (size_t m = 0; m < pool.size(); ++m) {
-    if (pool.partitions(m) == 0) return m;
-  }
-  return pool.size();
+  for (size_t k = 0; k < keyed.size(); ++k) (*items)[k] = keyed[k].second;
 }
 
 Placement Finalize(const Pool& pool, std::vector<size_t> offsets,
-                   std::vector<MachineId> machine,
                    const Placement* previous) {
   Placement placement;
   placement.partition_offset = std::move(offsets);
-  placement.machine = std::move(machine);
+  placement.machine.reserve(placement.partition_offset.back());
+  for (size_t i = 0; i < placement.partition_offset.back(); ++i) {
+    placement.machine.push_back(MachineId(pool.machine_of(i)));
+  }
   placement.machine_load.resize(pool.size());
   placement.machine_partitions.resize(pool.size());
   placement.machine_tenant_counts.resize(pool.size());
@@ -183,13 +233,14 @@ StatusOr<Placement> PlacementPlanner::PackFresh(
     const std::vector<double>& item_demand,
     const std::vector<int>& item_tenant,
     const std::vector<size_t>& offsets) const {
-  Pool pool(options_);
-  std::vector<MachineId> machine(item_demand.size(), MachineId(0));
-  for (size_t item : PlacementOrder(item_demand)) {
+  Pool pool(options_, item_tenant, offsets);
+  std::vector<size_t> order(item_demand.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  SortForPlacement(item_demand, &order);
+  for (size_t item : order) {
     const double demand = item_demand[item];
-    const int tenant = item_tenant[item];
-    size_t target = BestFit(pool, demand, tenant);
-    if (target == static_cast<size_t>(-1)) {
+    size_t target = pool.BestFit(item, demand);
+    if (target == kNoMachine) {
       // Nothing fits: open a machine. An item larger than one machine
       // is placed alone and simply overloads it (the fleet layer does
       // not split partitions further).
@@ -200,10 +251,9 @@ StatusOr<Placement> PlacementPlanner::PackFresh(
             std::to_string(options_.max_machines));
       }
     }
-    pool.Add(target, demand, tenant);
-    machine[item] = MachineId(static_cast<int>(target));
+    pool.Add(target, item, demand);
   }
-  Placement placement = Finalize(pool, offsets, std::move(machine), nullptr);
+  Placement placement = Finalize(pool, offsets, nullptr);
   placement.repacked = true;
   return placement;
 }
@@ -212,65 +262,52 @@ StatusOr<Placement> PlacementPlanner::PackIncremental(
     const std::vector<double>& item_demand,
     const std::vector<int>& item_tenant, const std::vector<size_t>& offsets,
     const Placement& previous) const {
-  Pool pool(options_);
-  std::vector<MachineId> machine = previous.machine;
-  for (size_t i = 0; i < machine.size(); ++i) {
-    pool.Add(static_cast<size_t>(machine[i].value()), item_demand[i],
-             item_tenant[i]);
+  Pool pool(options_, item_tenant, offsets);
+  for (size_t i = 0; i < previous.machine.size(); ++i) {
+    pool.Add(static_cast<size_t>(previous.machine[i].value()), i,
+             item_demand[i]);
   }
 
   // Evict from overloaded machines, largest item first (fewest moves);
   // removing a tenant's last partition lifts the interference penalty,
   // so capacity is re-evaluated after every eviction. An evicted item
-  // keeps its stale machine[] entry until re-placement, so the victim
-  // scan must skip items already evicted or a machine needing several
-  // evictions would pick the same victim repeatedly.
+  // is unplaced until re-placement, so the victim scan skips it.
   std::vector<size_t> evicted;
-  evicted.reserve(machine.size());
-  std::vector<bool> is_evicted(machine.size(), false);
+  evicted.reserve(item_demand.size());
   for (size_t m = 0; m < pool.size(); ++m) {
     while (pool.partitions(m) > 1 && pool.Overloaded(m)) {
       size_t victim = static_cast<size_t>(-1);
-      for (size_t i = 0; i < machine.size(); ++i) {
-        if (is_evicted[i]) continue;
-        if (static_cast<size_t>(machine[i].value()) != m) continue;
+      for (size_t i = 0; i < item_demand.size(); ++i) {
+        if (pool.machine_of(i) != static_cast<int>(m)) continue;
         if (victim == static_cast<size_t>(-1) ||
             item_demand[i] > item_demand[victim]) {
           victim = i;
         }
       }
       if (victim == static_cast<size_t>(-1)) break;
-      pool.Remove(m, item_demand[victim], item_tenant[victim]);
-      is_evicted[victim] = true;
+      pool.Remove(victim, item_demand[victim]);
       evicted.push_back(victim);
     }
   }
 
   // Re-place evicted items (demand desc, index asc); beyond best fit,
   // reuse the lowest-id empty machine before growing the pool.
-  std::sort(evicted.begin(), evicted.end(), [&](size_t a, size_t b) {
-    if (item_demand[a] != item_demand[b]) {
-      return item_demand[a] > item_demand[b];
-    }
-    return a < b;
-  });
+  SortForPlacement(item_demand, &evicted);
   for (size_t item : evicted) {
     const double demand = item_demand[item];
-    const int tenant = item_tenant[item];
-    size_t target = BestFit(pool, demand, tenant);
-    if (target == static_cast<size_t>(-1)) {
-      target = LowestFreeMachine(pool);
+    size_t target = pool.BestFit(item, demand);
+    if (target == kNoMachine) {
+      target = pool.LowestFreeMachine();
       if (target >= static_cast<size_t>(options_.max_machines)) {
         return Status::OutOfRange(
             "placement needs more than max_machines = " +
             std::to_string(options_.max_machines));
       }
     }
-    pool.Add(target, demand, tenant);
-    machine[item] = MachineId(static_cast<int>(target));
+    pool.Add(target, item, demand);
   }
 
-  Placement sticky = Finalize(pool, offsets, std::move(machine), &previous);
+  Placement sticky = Finalize(pool, offsets, &previous);
 
   // Consolidation: when total demand suggests the pool could shrink,
   // price a from-scratch repack against the move-model resize cost.

@@ -63,8 +63,10 @@ struct Placement {
   std::vector<double> machine_load;
   std::vector<int64_t> machine_partitions;
   std::vector<int> machine_tenant_counts;
-  // Machines with at least one partition (ids may have gaps after
-  // incremental eviction; empty machines are released, not paid for).
+  // Machines with at least one partition. Ids may have gaps when the
+  // previous placement of an incremental pack had empty machines
+  // (eviction always leaves one partition behind); empty machines are
+  // released, not paid for.
   int machines_used = 0;
   // Partitions whose machine differs from the previous placement.
   int64_t moved_partitions = 0;

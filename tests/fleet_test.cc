@@ -1,8 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "common/status.h"
 #include "common/strong_id.h"
 #include "common/thread_pool.h"
@@ -255,6 +263,327 @@ TEST(PlacementPlannerTest, RejectsMalformedInput) {
   EXPECT_FALSE(planner.Pack({1.0, 2.0}, {1, 1}, &*initial).ok());
 }
 
+// ---- packer vs a naive reference -----------------------------------------
+
+// The packer's documented semantics, written as plainly as possible: a
+// multiset of resident tenants per machine, linear scans everywhere,
+// the two tie-breaks (demand desc / index asc; least remaining capacity
+// / lowest machine id), the empty-machine load reset, and the repack
+// economics. PlacementPlanner must reproduce it bit for bit.
+class ReferencePacker {
+ public:
+  ReferencePacker(const PlacementOptions& options, const MoveModelTable* table)
+      : options_(options), table_(table) {}
+
+  Placement Pack(const std::vector<double>& tenant_demand,
+                 const std::vector<int>& tenant_partitions,
+                 const Placement* previous) const {
+    Items items;
+    items.offsets.push_back(0);
+    for (size_t t = 0; t < tenant_demand.size(); ++t) {
+      const double share = tenant_demand[t] / tenant_partitions[t];
+      for (int p = 0; p < tenant_partitions[t]; ++p) {
+        items.demand.push_back(share);
+        items.tenant.push_back(static_cast<int>(t));
+      }
+      items.offsets.push_back(items.demand.size());
+    }
+    if (previous == nullptr) return Fresh(items);
+
+    std::vector<Machine> pool;
+    std::vector<int> where(items.demand.size(), -1);
+    for (size_t i = 0; i < items.demand.size(); ++i) {
+      Add(items, i, previous->machine[i].value(), &pool, &where);
+    }
+    std::vector<size_t> evicted;
+    for (size_t m = 0; m < pool.size(); ++m) {
+      while (pool[m].partitions > 1 &&
+             pool[m].load >
+                 EffectiveMachineCapacity(options_, Distinct(pool[m]))) {
+        size_t victim = 0;
+        bool found = false;
+        for (size_t i = 0; i < where.size(); ++i) {
+          if (where[i] != static_cast<int>(m)) continue;
+          if (!found || items.demand[i] > items.demand[victim]) victim = i;
+          found = true;
+        }
+        Remove(items, victim, &pool, &where);
+        evicted.push_back(victim);
+      }
+    }
+    InPlacementOrder(items, &evicted);
+    for (size_t i : evicted) {
+      int target = BestFit(items, i, pool);
+      if (target < 0) {
+        target = static_cast<int>(pool.size());
+        for (size_t m = 0; m < pool.size(); ++m) {
+          if (pool[m].partitions == 0) {
+            target = static_cast<int>(m);
+            break;
+          }
+        }
+      }
+      Add(items, i, target, &pool, &where);
+    }
+    Placement sticky = Result(items, pool, where, previous);
+
+    double total = 0.0;
+    for (double d : items.demand) total += d;
+    const double one = EffectiveMachineCapacity(options_, 1);
+    const int lower_bound =
+        static_cast<int>(std::ceil(total / (one > 0.0 ? one : 1.0)));
+    if (sticky.machines_used <= lower_bound) return sticky;
+    Placement fresh = Fresh(items);
+    const int saved = sticky.machines_used - fresh.machines_used;
+    if (saved <= 0) return sticky;
+    double resize_cost = 0.0;
+    if (table_ != nullptr &&
+        table_->Covers(NodeCount(sticky.machines_used),
+                       NodeCount(fresh.machines_used))) {
+      resize_cost = table_->MoveCost(NodeCount(sticky.machines_used),
+                                     NodeCount(fresh.machines_used));
+    }
+    fresh.moved_partitions = Moves(fresh, *previous);
+    const int64_t extra_moves =
+        std::max<int64_t>(0, fresh.moved_partitions - sticky.moved_partitions);
+    const double savings = static_cast<double>(saved) *
+                           static_cast<double>(options_.repack_amortize_slots);
+    if (savings > resize_cost + options_.partition_move_cost *
+                                    static_cast<double>(extra_moves)) {
+      return fresh;
+    }
+    return sticky;
+  }
+
+ private:
+  struct Items {
+    std::vector<double> demand;
+    std::vector<int> tenant;
+    std::vector<size_t> offsets;
+  };
+  struct Machine {
+    double load = 0.0;
+    int64_t partitions = 0;
+    std::multiset<int> tenants;
+  };
+
+  static int Distinct(const Machine& machine) {
+    return static_cast<int>(
+        std::set<int>(machine.tenants.begin(), machine.tenants.end()).size());
+  }
+
+  static void InPlacementOrder(const Items& items, std::vector<size_t>* order) {
+    std::sort(order->begin(), order->end(), [&](size_t a, size_t b) {
+      return std::make_pair(-items.demand[a], a) <
+             std::make_pair(-items.demand[b], b);
+    });
+  }
+
+  static void Add(const Items& items, size_t i, int m,
+                  std::vector<Machine>* pool, std::vector<int>* where) {
+    if (static_cast<size_t>(m) >= pool->size()) pool->resize(m + 1);
+    Machine& machine = (*pool)[m];
+    machine.load += items.demand[i];
+    ++machine.partitions;
+    machine.tenants.insert(items.tenant[i]);
+    (*where)[i] = m;
+  }
+
+  static void Remove(const Items& items, size_t i, std::vector<Machine>* pool,
+                     std::vector<int>* where) {
+    Machine& machine = (*pool)[(*where)[i]];
+    machine.load -= items.demand[i];
+    --machine.partitions;
+    machine.tenants.erase(machine.tenants.find(items.tenant[i]));
+    if (machine.partitions == 0) machine.load = 0.0;
+    (*where)[i] = -1;
+  }
+
+  int BestFit(const Items& items, size_t i,
+              const std::vector<Machine>& pool) const {
+    int best = -1;
+    double best_remaining = 0.0;
+    for (size_t m = 0; m < pool.size(); ++m) {
+      const bool resident = pool[m].tenants.count(items.tenant[i]) > 0;
+      const double capacity = EffectiveMachineCapacity(
+          options_, Distinct(pool[m]) + (resident ? 0 : 1));
+      if (!(pool[m].load + items.demand[i] <= capacity)) continue;
+      const double remaining = capacity - (pool[m].load + items.demand[i]);
+      if (best < 0 || remaining < best_remaining) {
+        best = static_cast<int>(m);
+        best_remaining = remaining;
+      }
+    }
+    return best;
+  }
+
+  Placement Fresh(const Items& items) const {
+    std::vector<size_t> order(items.demand.size());
+    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+    InPlacementOrder(items, &order);
+    std::vector<Machine> pool;
+    std::vector<int> where(items.demand.size(), -1);
+    for (size_t i : order) {
+      const int target = BestFit(items, i, pool);
+      Add(items, i, target >= 0 ? target : static_cast<int>(pool.size()),
+          &pool, &where);
+    }
+    Placement placement = Result(items, pool, where, nullptr);
+    placement.repacked = true;
+    return placement;
+  }
+
+  static int64_t Moves(const Placement& next, const Placement& previous) {
+    int64_t moves = 0;
+    for (size_t i = 0; i < next.machine.size(); ++i) {
+      if (next.machine[i] != previous.machine[i]) ++moves;
+    }
+    return moves;
+  }
+
+  static Placement Result(const Items& items, const std::vector<Machine>& pool,
+                          const std::vector<int>& where,
+                          const Placement* previous) {
+    Placement placement;
+    placement.partition_offset = items.offsets;
+    for (int m : where) placement.machine.push_back(MachineId(m));
+    for (const Machine& machine : pool) {
+      placement.machine_load.push_back(machine.load);
+      placement.machine_partitions.push_back(machine.partitions);
+      placement.machine_tenant_counts.push_back(Distinct(machine));
+      if (machine.partitions > 0) ++placement.machines_used;
+    }
+    if (previous != nullptr) {
+      placement.moved_partitions = Moves(placement, *previous);
+    }
+    return placement;
+  }
+
+  PlacementOptions options_;
+  const MoveModelTable* table_;
+};
+
+void ExpectSamePlacement(const Placement& expected, const Placement& actual,
+                         const std::string& where) {
+  EXPECT_EQ(actual.machine, expected.machine) << where;
+  EXPECT_EQ(actual.machine_partitions, expected.machine_partitions) << where;
+  EXPECT_EQ(actual.machine_tenant_counts, expected.machine_tenant_counts)
+      << where;
+  EXPECT_EQ(actual.machines_used, expected.machines_used) << where;
+  EXPECT_EQ(actual.moved_partitions, expected.moved_partitions) << where;
+  EXPECT_EQ(actual.repacked, expected.repacked) << where;
+  ASSERT_EQ(actual.machine_load.size(), expected.machine_load.size()) << where;
+  for (size_t m = 0; m < actual.machine_load.size(); ++m) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(actual.machine_load[m]),
+              std::bit_cast<uint64_t>(expected.machine_load[m]))
+        << where << " machine " << m << ": " << actual.machine_load[m]
+        << " vs " << expected.machine_load[m];
+  }
+}
+
+// Seeded random fleets, each packed fresh and then through a chain of
+// incremental packs on perturbed demand. The mix covers multi-partition
+// tenants, crowds of tiny tenants that drive a machine past the
+// min_capacity_fraction floor, zero-demand tenants, oversize items, and
+// demand collapses that make a consolidating repack pay. Pack never
+// empties a machine itself (eviction stops at one partition), so some
+// steps spread the previous placement's machine ids to leave empty
+// machines for the sticky pack to reuse.
+TEST(PlacementDifferentialTest, MatchesNaiveReferencePacker) {
+  PlannerParams params;
+  const MoveModelTable table(params, NodeCount(64));
+  int kept_repacks = 0;
+  int sticky_moves = 0;
+  int reused_machines = 0;
+  int floor_machines = 0;
+  int overloaded_machines = 0;
+  int split_tenants = 0;
+  for (uint64_t seed = 1; seed <= 24; ++seed) {
+    Rng rng(seed);
+    PlacementOptions options;
+    options.machine_capacity = 100.0;
+    options.interference_per_tenant = seed % 3 == 0 ? 0.0 : 0.02;
+    options.partition_move_cost = seed % 2 == 0 ? 0.0 : 0.5;
+    options.repack_amortize_slots = seed % 4 == 1 ? 1 : 288;
+    const MoveModelTable* move_table = seed % 5 == 0 ? nullptr : &table;
+    const PlacementPlanner planner(options, move_table);
+    const ReferencePacker reference(options, move_table);
+
+    const size_t tenants = 40 + rng.NextUint64(160);
+    std::vector<int> partitions(tenants);
+    std::vector<double> demand(tenants);
+    for (size_t t = 0; t < tenants; ++t) {
+      partitions[t] = 1 + static_cast<int>(rng.NextUint64(5));
+      const double kind = rng.NextDouble();
+      if (kind < 0.08) {
+        demand[t] = 0.0;
+      } else if (kind < 0.12) {
+        demand[t] = partitions[t] * rng.NextDouble(101.0, 180.0);
+      } else if (kind < 0.55) {
+        demand[t] = rng.NextDouble(0.05, 1.5);
+      } else {
+        demand[t] = rng.NextDouble(1.0, 90.0);
+      }
+    }
+
+    StatusOr<Placement> packed = planner.Pack(demand, partitions, nullptr);
+    ASSERT_TRUE(packed.ok()) << packed.status().ToString();
+    ExpectSamePlacement(reference.Pack(demand, partitions, nullptr), *packed,
+                        "seed " + std::to_string(seed) + " fresh");
+    Placement previous = *packed;
+    for (int step = 1; step <= 8; ++step) {
+      const std::string where =
+          "seed " + std::to_string(seed) + " step " + std::to_string(step);
+      const bool collapse = step % 4 == 0;
+      for (size_t t = 0; t < tenants; ++t) {
+        demand[t] *= collapse ? rng.NextDouble(0.1, 0.4)
+                              : rng.NextDouble(0.6, 1.7);
+      }
+      if (step % 3 == 0) {
+        for (MachineId& m : previous.machine) m = MachineId(2 * m.value());
+      }
+      packed = planner.Pack(demand, partitions, &previous);
+      ASSERT_TRUE(packed.ok()) << where << ": " << packed.status().ToString();
+      ExpectSamePlacement(reference.Pack(demand, partitions, &previous),
+                          *packed, where);
+
+      if (packed->repacked) {
+        ++kept_repacks;
+      } else if (packed->moved_partitions > 0) {
+        ++sticky_moves;
+        for (size_t i = 0; i < packed->machine.size(); ++i) {
+          const int m = packed->machine[i].value();
+          if (m % 2 == 1 && step % 3 == 0) ++reused_machines;
+        }
+      }
+      for (size_t m = 0; m < packed->machine_load.size(); ++m) {
+        // Past 26 tenants, 0.02 per extra tenant hits the 0.5 floor.
+        if (packed->machine_tenant_counts[m] > 26) ++floor_machines;
+        if (packed->machine_load[m] > options.machine_capacity) {
+          ++overloaded_machines;
+        }
+      }
+      for (size_t t = 0; t < tenants; ++t) {
+        const size_t first = packed->partition_offset[t];
+        for (size_t i = first + 1; i < packed->partition_offset[t + 1]; ++i) {
+          if (packed->machine[i] != packed->machine[first]) {
+            ++split_tenants;
+            break;
+          }
+        }
+      }
+      previous = *packed;
+    }
+  }
+  // The fleets above must actually reach every path they are meant to.
+  EXPECT_GT(kept_repacks, 0);
+  EXPECT_GT(sticky_moves, 0);
+  EXPECT_GT(reused_machines, 0);
+  EXPECT_GT(floor_machines, 0);
+  EXPECT_GT(overloaded_machines, 0);
+  EXPECT_GT(split_tenants, 0);
+}
+
 // ---- forecaster ------------------------------------------------------------
 
 TEST(TenantForecasterTest, FallsBackToLastValueBeforeOnePeriod) {
@@ -486,6 +815,30 @@ TEST(FleetSimulatorTest, UnbuildableForecastSpecIsAStatus) {
     EXPECT_FALSE(simulator.Simulate(FleetMode::kFleet, nullptr).ok()) << spec;
     EXPECT_FALSE(simulator.Simulate(FleetMode::kDedicated, nullptr).ok())
         << spec;
+  }
+}
+
+// Q and Q-hat are checked before either mode runs: the pooled mode
+// used to pack a zero-capacity pool one partition per machine and
+// report it.
+TEST(FleetSimulatorTest, NonPositiveCapacityIsAStatusInBothModes) {
+  const double kBad[] = {0.0, -285.0, std::nan(""), HUGE_VAL};
+  for (const double bad : kBad) {
+    for (const bool serve : {false, true}) {
+      FleetOptions options;
+      options.eval_begin = 1440;
+      if (serve) {
+        options.machine_serve_capacity = bad;
+      } else {
+        options.controller.placement.machine_capacity = bad;
+      }
+      FleetSimulator simulator(options, MakeTenantMix(SmallMix()));
+      for (const FleetMode mode : {FleetMode::kFleet, FleetMode::kDedicated}) {
+        const StatusOr<FleetResult> result = simulator.Simulate(mode, nullptr);
+        EXPECT_FALSE(result.ok())
+            << FleetModeName(mode) << (serve ? " Q-hat=" : " Q=") << bad;
+      }
+    }
   }
 }
 

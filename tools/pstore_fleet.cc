@@ -11,6 +11,8 @@
 // 20% YCSB, 20% step); the per-family flags override it. Per-tenant
 // forecasting fans out on --threads N workers (default: hardware
 // concurrency) and every output is bit-identical for any thread count.
+// Unknown flags and out-of-range values exit 1 with an "error: …"
+// message.
 //
 // Knobs:
 //   --q=285 --qhat=350         pack / serve capacity per pooled machine
@@ -18,6 +20,8 @@
 //   --partitions=2             placement units per tenant
 //   --inflation=1.15           forecast inflation before packing
 //   --mean-peak=60             mean per-tenant peak demand (txn/s)
+//   --sla=0.01                 per-tenant SLA: tolerated fraction of
+//                              violating time, in [0, 1]
 //   --forecast=SPEC            per-tenant predictor spec ("ar(p=8)",
 //                              "shift(spar)", ... — see
 //                              prediction/predictor_spec.h); default is
@@ -31,8 +35,12 @@
 //                              events (render with pstore_report)
 //   --bench-json=out.json      headline metrics as a JSON metrics registry
 
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/flags.h"
@@ -109,12 +117,22 @@ int main(int argc, char** argv) {
   FlagParser flags;
   const Status parsed = flags.Parse(argc - 1, argv + 1);
   if (!parsed.ok()) return Fail(parsed.ToString());
+  static const std::set<std::string> kKnownFlags = {
+      "tenants", "b2w", "wiki", "ycsb", "step", "days", "seed",
+      "partitions", "threads", "q", "qhat", "interference", "inflation",
+      "mean-peak", "sla", "forecast", "forecast-refit", "mode", "csv-out",
+      "trace-out", "bench-json"};
+  for (const auto& [name, value] : flags.flags()) {
+    if (kKnownFlags.count(name) == 0) {
+      return Fail("--" + name + ": unknown flag");
+    }
+  }
 
   const StatusOr<int64_t> tenants = flags.GetInt("tenants", 0);
-  const StatusOr<int64_t> b2w = flags.GetInt("b2w", -1);
-  const StatusOr<int64_t> wiki = flags.GetInt("wiki", -1);
-  const StatusOr<int64_t> ycsb = flags.GetInt("ycsb", -1);
-  const StatusOr<int64_t> step = flags.GetInt("step", -1);
+  const StatusOr<int64_t> b2w = flags.GetInt("b2w", 0);
+  const StatusOr<int64_t> wiki = flags.GetInt("wiki", 0);
+  const StatusOr<int64_t> ycsb = flags.GetInt("ycsb", 0);
+  const StatusOr<int64_t> step = flags.GetInt("step", 0);
   const StatusOr<int64_t> days = flags.GetInt("days", 4);
   const StatusOr<int64_t> seed = flags.GetInt("seed", 17);
   const StatusOr<int64_t> partitions = flags.GetInt("partitions", 2);
@@ -132,15 +150,30 @@ int main(int argc, char** argv) {
         inflation.status(), mean_peak.status(), sla.status()}) {
     if (!status.ok()) return Fail(status.ToString());
   }
+  for (const auto& [name, count] :
+       {std::pair<const char*, int64_t>{"tenants", *tenants},
+        {"b2w", *b2w}, {"wiki", *wiki}, {"ycsb", *ycsb}, {"step", *step}}) {
+    if (count < 0) return Fail(std::string("--") + name + ": must be >= 0");
+  }
+  if (*days < 2) return Fail("--days: must be >= 2 (1 warmup day)");
+  if (*partitions < 1) return Fail("--partitions: must be >= 1");
+  if (!(*mean_peak > 0.0) || std::isinf(*mean_peak)) {
+    return Fail("--mean-peak: must be positive and finite");
+  }
+  if (!(*sla >= 0.0 && *sla <= 1.0)) return Fail("--sla: must be in [0, 1]");
 
   // Family counts: explicit per-family flags win; otherwise --tenants=N
   // splits 40/20/20/20 (B2W absorbing the rounding remainder).
   TenantMixOptions mix;
-  if (*b2w >= 0 || *wiki >= 0 || *ycsb >= 0 || *step >= 0) {
-    mix.b2w_tenants = *b2w > 0 ? static_cast<int>(*b2w) : 0;
-    mix.wikipedia_tenants = *wiki > 0 ? static_cast<int>(*wiki) : 0;
-    mix.ycsb_tenants = *ycsb > 0 ? static_cast<int>(*ycsb) : 0;
-    mix.step_tenants = *step > 0 ? static_cast<int>(*step) : 0;
+  bool per_family = false;
+  for (const char* family : {"b2w", "wiki", "ycsb", "step"}) {
+    if (flags.flags().count(family) != 0) per_family = true;
+  }
+  if (per_family) {
+    mix.b2w_tenants = static_cast<int>(*b2w);
+    mix.wikipedia_tenants = static_cast<int>(*wiki);
+    mix.ycsb_tenants = static_cast<int>(*ycsb);
+    mix.step_tenants = static_cast<int>(*step);
   } else if (*tenants > 0) {
     const int n = static_cast<int>(*tenants);
     mix.wikipedia_tenants = n / 5;
@@ -158,7 +191,6 @@ int main(int argc, char** argv) {
   mix.partitions_per_tenant = static_cast<int>(*partitions);
   mix.sla_target = *sla;
   if (TotalTenants(mix) < 1) return Fail("fleet has no tenants");
-  if (mix.days < 2) return Fail("--days must be >= 2 (1 warmup day)");
 
   FleetOptions options;
   options.controller.placement.machine_capacity = *q;
@@ -171,7 +203,7 @@ int main(int argc, char** argv) {
     const StatusOr<int64_t> forecast_refit =
         flags.GetInt("forecast-refit", 288);
     if (!forecast_refit.ok()) return Fail(forecast_refit.status().ToString());
-    if (*forecast_refit < 1) return Fail("--forecast-refit must be >= 1");
+    if (*forecast_refit < 1) return Fail("--forecast-refit: must be >= 1");
     options.controller.forecast_spec = forecast_spec;
     options.controller.forecast_refit_interval =
         static_cast<size_t>(*forecast_refit);
