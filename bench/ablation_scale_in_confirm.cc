@@ -33,31 +33,28 @@ int main(int argc, char** argv) {
   std::printf("%14s %16s %14s %10s %10s\n", "confirm cycles",
               "reconfigurations", "avg machines", "p95 viol", "p99 viol");
   const std::vector<int> confirm_cycles = {1, 3, 10, 30};
-  std::vector<bench::EngineRunConfig> configs;
+  std::vector<bench::EngineRun> engine_runs;
   for (const int cycles : confirm_cycles) {
-    bench::EngineRunConfig config;
-    config.spec.label = "confirm-" + std::to_string(cycles);
-    config.spec.strategy = Strategy::kPredictive;
-    config.nodes = 4;
-    config.replay_days = 2;
-    config.scale_in_confirm_cycles = cycles;
-    configs.push_back(config);
+    bench::EngineRun run = bench::PaperEngineRun(
+        "confirm-" + std::to_string(cycles), Strategy::kPredictive, 4, 2);
+    run.options.controller.scale_in_confirm_cycles = cycles;
+    engine_runs.push_back(run);
   }
-  const std::vector<bench::EngineRunResult> runs =
-      bench::RunEngineExperiments(configs, static_cast<int>(*threads));
+  const std::vector<EngineRunResult> runs =
+      bench::RunEngineExperiments(engine_runs, static_cast<int>(*threads));
   for (size_t c = 0; c < runs.size(); ++c) {
     const int cycles = confirm_cycles[c];
-    const bench::EngineRunResult& run = runs[c];
-    std::printf("%14d %16d %14.2f %10lld %10lld\n", cycles,
-                run.reconfigurations, run.avg_machines,
-                static_cast<long long>(run.violations.p95),
-                static_cast<long long>(run.violations.p99));
+    const EngineRunResult& run = runs[c];
+    std::printf("%14d %16lld %14.2f %10lld %10lld\n", cycles,
+                static_cast<long long>(run.reconfigurations), run.avg_machines,
+                static_cast<long long>(run.sla.total.p95),
+                static_cast<long long>(run.sla.total.p99));
     if (csv) {
       csv->WriteRow({std::to_string(cycles),
                      std::to_string(run.reconfigurations),
                      std::to_string(run.avg_machines),
-                     std::to_string(run.violations.p95),
-                     std::to_string(run.violations.p99)});
+                     std::to_string(run.sla.total.p95),
+                     std::to_string(run.sla.total.p99)});
     }
   }
   std::printf(

@@ -14,15 +14,19 @@
 
 #include "bench_util.h"
 #include "common/logging.h"
+#include "common/sim_time.h"
+#include "controller/engine_run.h"
+#include "engine/metrics.h"
+#include "fault/fault_schedule.h"
+#include "sim/run_spec.h"
 
 namespace {
 
 using namespace pstore;
 
-constexpr int kTrainingDays = 28;
 constexpr int kReplayDays = 2;
 // Black Friday is the second replayed day.
-constexpr int kBlackFridayDay = kTrainingDays + 1;
+constexpr int kBlackFridayDay = bench::kTrainingDays + 1;
 // Crash at 10:00 of the Black-Friday morning ramp (replay seconds: one
 // full day plus 600 trace minutes at 6 s each), while the controller's
 // scale-out toward the afternoon peak is in flight; recover 10 trace
@@ -59,21 +63,22 @@ int64_t UnavailableWindows(const std::vector<WindowStats>& windows) {
   return n;
 }
 
-void PrintRun(const char* label, const bench::EngineRunResult& run) {
+void PrintRun(const char* label, const EngineRunResult& run) {
   std::printf("%-16s viol(p50/p95/p99)=%4lld /%5lld /%5lld  "
-              "avg machines=%5.2f  reconfigs=%2d (+%d failed)  "
+              "avg machines=%5.2f  reconfigs=%2lld (+%lld failed)  "
               "chunk retries=%3lld  unavailable=%lld\n",
-              label, static_cast<long long>(run.violations.p50),
-              static_cast<long long>(run.violations.p95),
-              static_cast<long long>(run.violations.p99), run.avg_machines,
-              run.reconfigurations, run.failed_reconfigurations,
+              label, static_cast<long long>(run.sla.total.p50),
+              static_cast<long long>(run.sla.total.p95),
+              static_cast<long long>(run.sla.total.p99), run.avg_machines,
+              static_cast<long long>(run.reconfigurations),
+              static_cast<long long>(run.failed_reconfigurations),
               static_cast<long long>(run.chunk_retries),
               static_cast<long long>(run.unavailable));
   std::printf("%-16s p99 violations by attribution: fault=%lld "
               "migration=%lld baseline=%lld\n",
-              "", static_cast<long long>(run.attribution.during_fault.p99),
-              static_cast<long long>(run.attribution.during_migration.p99),
-              static_cast<long long>(run.attribution.baseline.p99));
+              "", static_cast<long long>(run.sla.during_fault.p99),
+              static_cast<long long>(run.sla.during_migration.p99),
+              static_cast<long long>(run.sla.baseline.p99));
 }
 
 }  // namespace
@@ -84,22 +89,10 @@ int main() {
       "recovery is bounded: chunk retries + a controller re-plan restore "
       "the SLA; violations under the fault are attributed to it");
 
-  bench::EngineRunConfig config;
-  config.spec.label = "chaos-drill";
-  config.spec.strategy = Strategy::kPredictive;
-  config.training_days = kTrainingDays;
-  config.replay_days = kReplayDays;
-  config.black_friday_day = kBlackFridayDay;
-  config.nodes = 4;
-  config.scale = 0.5;
-
-  std::printf("\nClean Black-Friday replay (no faults):\n");
-  const bench::EngineRunResult clean = bench::RunEngineExperiment(config);
-  PrintRun("clean", clean);
-
-  std::printf("\nSame replay, node %d crashes at t=%.0fs (BF 10:00), "
-              "recovers at t=%.0fs:\n",
-              kCrashNode, kCrashSeconds, kRecoverSeconds);
+  bench::EngineRun clean_run = bench::PaperEngineRun(
+      "chaos-drill", Strategy::kPredictive, 4, kReplayDays, 0.5);
+  clean_run.spec.workload.b2w.black_friday_day = kBlackFridayDay;
+  bench::EngineRun faulted_run = clean_run;
   FaultEvent crash;
   crash.at = FromSeconds(kCrashSeconds);
   crash.kind = FaultKind::kNodeCrash;
@@ -107,8 +100,17 @@ int main() {
   FaultEvent recover = crash;
   recover.at = FromSeconds(kRecoverSeconds);
   recover.kind = FaultKind::kNodeRecover;
-  config.faults = {crash, recover};
-  const bench::EngineRunResult faulted = bench::RunEngineExperiment(config);
+  faulted_run.options.faults = {crash, recover};
+  const std::vector<EngineRunResult> runs =
+      bench::RunEngineExperiments({clean_run, faulted_run}, 0);
+  const EngineRunResult& clean = runs[0];
+  const EngineRunResult& faulted = runs[1];
+
+  std::printf("\nClean Black-Friday replay (no faults):\n");
+  PrintRun("clean", clean);
+  std::printf("\nSame replay, node %d crashes at t=%.0fs (BF 10:00), "
+              "recovers at t=%.0fs:\n",
+              kCrashNode, kCrashSeconds, kRecoverSeconds);
   PrintRun("crash+recover", faulted);
 
   // Only look 30 trace minutes past the recovery for residual impact;
@@ -121,12 +123,12 @@ int main() {
               restored, kRecoverSeconds - kCrashSeconds,
               RestoredAfterSeconds(clean.windows, horizon));
   std::printf("fault cost: %lld unavailable txns over %lld windows, "
-              "%lld chunk retries, %d aborted reconfigurations "
+              "%lld chunk retries, %lld aborted reconfigurations "
               "(controller re-planned each)\n",
               static_cast<long long>(faulted.unavailable),
               static_cast<long long>(UnavailableWindows(faulted.windows)),
               static_cast<long long>(faulted.chunk_retries),
-              faulted.failed_reconfigurations);
+              static_cast<long long>(faulted.failed_reconfigurations));
   PSTORE_CHECK(faulted.chunk_retries > 0);   // the crash hit a migration
   PSTORE_CHECK(restored >= kRecoverSeconds - kCrashSeconds);
   PSTORE_CHECK(restored <= horizon - kCrashSeconds);

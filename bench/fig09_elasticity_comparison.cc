@@ -43,21 +43,17 @@ int main(int argc, char** argv) {
       {"P-Store", Strategy::kPredictive, 4, "fig09d_pstore.csv"},
   };
 
-  std::vector<bench::EngineRunConfig> run_configs;
+  std::vector<bench::EngineRun> engine_runs;
   for (const Config& config : configs) {
-    bench::EngineRunConfig run_config;
-    run_config.spec.label = config.label;
-    run_config.spec.strategy = config.strategy;
-    run_config.nodes = config.nodes;
-    run_config.replay_days = 3;
-    run_configs.push_back(run_config);
+    engine_runs.push_back(
+        bench::PaperEngineRun(config.label, config.strategy, config.nodes, 3));
   }
-  const std::vector<bench::EngineRunResult> runs =
-      bench::RunEngineExperiments(run_configs, static_cast<int>(*threads));
+  const std::vector<EngineRunResult> runs =
+      bench::RunEngineExperiments(engine_runs, static_cast<int>(*threads));
 
   for (size_t c = 0; c < runs.size(); ++c) {
     const Config& config = configs[c];
-    const bench::EngineRunResult& run = runs[c];
+    const EngineRunResult& run = runs[c];
     bench::PrintRunSummary(config.label, run);
 
     auto csv = bench::OpenCsv(config.csv);

@@ -67,21 +67,17 @@ int main(int argc, char** argv) {
     std::vector<double> p95;
     std::vector<double> p99;
   };
-  std::vector<bench::EngineRunConfig> run_configs;
+  std::vector<bench::EngineRun> engine_runs;
   for (const Config& config : configs) {
-    bench::EngineRunConfig run_config;
-    run_config.spec.label = config.label;
-    run_config.spec.strategy = config.strategy;
-    run_config.nodes = config.nodes;
-    run_config.replay_days = 2;
-    run_configs.push_back(run_config);
+    engine_runs.push_back(
+        bench::PaperEngineRun(config.label, config.strategy, config.nodes, 2));
   }
-  const std::vector<bench::EngineRunResult> runs =
-      bench::RunEngineExperiments(run_configs, static_cast<int>(*threads));
+  const std::vector<EngineRunResult> runs =
+      bench::RunEngineExperiments(engine_runs, static_cast<int>(*threads));
 
   std::vector<Curves> all;
   for (size_t c = 0; c < runs.size(); ++c) {
-    const bench::EngineRunResult& run = runs[c];
+    const EngineRunResult& run = runs[c];
     Curves curves;
     curves.label = configs[c].label;
     curves.p50 = TopOnePercent(run.windows, &WindowStats::p50_ms);

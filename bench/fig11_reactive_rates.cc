@@ -33,35 +33,39 @@ int main(int argc, char** argv) {
   }
 
   const char* labels[2] = {"Rate R", "Rate R x 8"};
-  std::vector<bench::EngineRunConfig> configs;
+  std::vector<bench::EngineRun> runs;
   for (int fast = 0; fast < 2; ++fast) {
-    bench::EngineRunConfig config;
-    config.spec.label = labels[fast];
-    config.spec.strategy = Strategy::kPredictive;
-    config.nodes = 4;
-    config.replay_days = 1;
-    config.inject_spike = true;
-    config.spike_magnitude = 2.2;
-    config.fast_reactive_fallback = fast == 1;
-    configs.push_back(config);
+    bench::EngineRun run =
+        bench::PaperEngineRun(labels[fast], Strategy::kPredictive, 4, 1);
+    // The unexpected flash crowd: mid-afternoon of the replayed day, on
+    // the peak's shoulder.
+    run.spec.workload.inject_spike = true;
+    SpikeOptions& spike = run.spec.workload.spike;
+    spike.start_slot = static_cast<size_t>(bench::kTrainingDays) * 1440 + 660;
+    spike.ramp_slots = 15;
+    spike.sustain_slots = 90;
+    spike.decay_slots = 90;
+    spike.magnitude = 2.2;
+    run.options.controller.fast_reactive_fallback = fast == 1;
+    runs.push_back(run);
   }
-  const std::vector<bench::EngineRunResult> results =
-      bench::RunEngineExperiments(configs, static_cast<int>(*threads));
+  const std::vector<EngineRunResult> results =
+      bench::RunEngineExperiments(runs, static_cast<int>(*threads));
   for (size_t fast = 0; fast < results.size(); ++fast) {
     bench::PrintRunSummary(labels[fast], results[fast]);
     if (csv) {
       csv->WriteRow({labels[fast],
-                     std::to_string(results[fast].violations.p50),
-                     std::to_string(results[fast].violations.p95),
-                     std::to_string(results[fast].violations.p99),
+                     std::to_string(results[fast].sla.total.p50),
+                     std::to_string(results[fast].sla.total.p95),
+                     std::to_string(results[fast].sla.total.p99),
                      std::to_string(results[fast].avg_machines)});
     }
   }
 
-  const long long slow_total = results[0].violations.p95 +
-                               results[0].violations.p99;
-  const long long fast_total = results[1].violations.p95 +
-                               results[1].violations.p99;
+  const long long slow_total = results[0].sla.total.p95 +
+                               results[0].sla.total.p99;
+  const long long fast_total = results[1].sla.total.p95 +
+                               results[1].sla.total.p99;
   std::printf(
       "\nShape check: tail violation-seconds at R x 8 (%lld) vs R (%lld) "
       "— the faster migration should cut the total substantially "

@@ -44,17 +44,13 @@ int main(int argc, char** argv) {
       {"P-Store", Strategy::kPredictive, 4},
   };
 
-  std::vector<bench::EngineRunConfig> run_configs;
+  std::vector<bench::EngineRun> engine_runs;
   for (const Config& config : configs) {
-    bench::EngineRunConfig run_config;
-    run_config.spec.label = config.label;
-    run_config.spec.strategy = config.strategy;
-    run_config.nodes = config.nodes;
-    run_config.replay_days = 3;
-    run_configs.push_back(run_config);
+    engine_runs.push_back(
+        bench::PaperEngineRun(config.label, config.strategy, config.nodes, 3));
   }
-  const std::vector<bench::EngineRunResult> runs =
-      bench::RunEngineExperiments(run_configs, static_cast<int>(*threads));
+  const std::vector<EngineRunResult> runs =
+      bench::RunEngineExperiments(engine_runs, static_cast<int>(*threads));
 
   auto csv = bench::OpenCsv("table2_sla_violations.csv");
   if (csv) {
@@ -66,28 +62,28 @@ int main(int argc, char** argv) {
               "p95 viol", "p99 viol", "avg machines");
   for (size_t c = 0; c < runs.size(); ++c) {
     const Config& config = configs[c];
-    const bench::EngineRunResult& run = runs[c];
+    const EngineRunResult& run = runs[c];
     std::printf("%-12s %10lld %10lld %10lld %14.2f\n", config.label,
-                static_cast<long long>(run.violations.p50),
-                static_cast<long long>(run.violations.p95),
-                static_cast<long long>(run.violations.p99),
+                static_cast<long long>(run.sla.total.p50),
+                static_cast<long long>(run.sla.total.p95),
+                static_cast<long long>(run.sla.total.p99),
                 run.avg_machines);
     if (csv) {
-      csv->WriteRow({config.label, std::to_string(run.violations.p50),
-                     std::to_string(run.violations.p95),
-                     std::to_string(run.violations.p99),
+      csv->WriteRow({config.label, std::to_string(run.sla.total.p50),
+                     std::to_string(run.sla.total.p95),
+                     std::to_string(run.sla.total.p99),
                      std::to_string(run.avg_machines)});
     }
   }
-  const bench::EngineRunResult& static10_run = runs[0];
-  const bench::EngineRunResult& reactive_run = runs[2];
-  const bench::EngineRunResult& pstore_run = runs[3];
+  const EngineRunResult& static10_run = runs[0];
+  const EngineRunResult& reactive_run = runs[2];
+  const EngineRunResult& pstore_run = runs[3];
 
   std::printf("\nShape check:\n");
   std::printf("  P-Store p99 violations / reactive: %.2f (paper: ~0.28)\n",
-              reactive_run.violations.p99 > 0
-                  ? static_cast<double>(pstore_run.violations.p99) /
-                        static_cast<double>(reactive_run.violations.p99)
+              reactive_run.sla.total.p99 > 0
+                  ? static_cast<double>(pstore_run.sla.total.p99) /
+                        static_cast<double>(reactive_run.sla.total.p99)
                   : 0.0);
   std::printf("  P-Store avg machines / static-10:  %.2f (paper: ~0.50)\n",
               pstore_run.avg_machines / static10_run.avg_machines);

@@ -39,12 +39,14 @@ Status FlagParser::Parse(int argc, const char* const* argv) {
 
 std::string FlagParser::GetString(const std::string& name,
                                   const std::string& default_value) const {
+  read_.insert(name);
   const auto it = flags_.find(name);
   return it == flags_.end() ? default_value : it->second;
 }
 
 std::vector<std::string> FlagParser::GetStrings(
     const std::string& name) const {
+  read_.insert(name);
   std::vector<std::string> values;
   for (const auto& occurrence : occurrences_) {
     if (occurrence.first == name) values.push_back(occurrence.second);
@@ -54,6 +56,7 @@ std::vector<std::string> FlagParser::GetStrings(
 
 StatusOr<int64_t> FlagParser::GetInt(const std::string& name,
                                      int64_t default_value) const {
+  read_.insert(name);
   const auto it = flags_.find(name);
   if (it == flags_.end()) return default_value;
   char* end = nullptr;
@@ -67,6 +70,7 @@ StatusOr<int64_t> FlagParser::GetInt(const std::string& name,
 
 StatusOr<double> FlagParser::GetDouble(const std::string& name,
                                        double default_value) const {
+  read_.insert(name);
   const auto it = flags_.find(name);
   if (it == flags_.end()) return default_value;
   char* end = nullptr;
@@ -79,9 +83,19 @@ StatusOr<double> FlagParser::GetDouble(const std::string& name,
 }
 
 bool FlagParser::GetBool(const std::string& name, bool default_value) const {
+  read_.insert(name);
   const auto it = flags_.find(name);
   if (it == flags_.end()) return default_value;
   return it->second != "false" && it->second != "0" && it->second != "no";
+}
+
+Status FlagParser::CheckAllRead() const {
+  for (const auto& flag : flags_) {
+    if (read_.count(flag.first) == 0) {
+      return Status::InvalidArgument("--" + flag.first + ": unknown flag");
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace pstore

@@ -2,6 +2,7 @@
 #define PSTORE_COMMON_FLAGS_H_
 
 #include <map>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -13,7 +14,9 @@ namespace pstore {
 // Minimal command-line flag parser for the repo's CLI tools. Accepts
 // "--name=value", "--name value", and bare "--name" (boolean true);
 // everything else is a positional argument. No registration needed:
-// tools query parsed flags with typed getters and defaults.
+// tools query parsed flags with typed getters and defaults, and the
+// getters record every name they are asked for, so CheckAllRead can
+// reject the flags a tool never reads (typos).
 class FlagParser {
  public:
   // Parses argv (excluding argv[0]). Returns an error on malformed
@@ -36,11 +39,18 @@ class FlagParser {
 
   const std::vector<std::string>& positional() const { return positional_; }
 
-  // All parsed flags, for validation ("unknown flag" messages).
+  // All parsed flags, by name.
   const std::map<std::string, std::string>& flags() const { return flags_; }
+
+  // InvalidArgument("--<name>: unknown flag") for the first parsed flag,
+  // by name, that no getter has read; OK otherwise. A tool calls it
+  // once it has read every flag it accepts.
+  Status CheckAllRead() const;
 
  private:
   std::map<std::string, std::string> flags_;
+  // Names the getters were asked for, present or not.
+  mutable std::set<std::string> read_;
   // Every (name, value) occurrence in command-line order, for
   // repeatable flags.
   std::vector<std::pair<std::string, std::string>> occurrences_;

@@ -1,11 +1,13 @@
 #include "fault/fault_schedule.h"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/sim_time.h"
+#include "common/status.h"
 #include "sim/capacity_simulator.h"
 
 namespace pstore {
@@ -77,10 +79,34 @@ void AppendWindowedProcess(Rng* rng, double rate_per_hour,
 
 }  // namespace
 
-FaultSchedule FaultSchedule::SeededRandom(
+StatusOr<FaultSchedule> FaultSchedule::SeededRandom(
     const FaultScheduleOptions& options) {
-  PSTORE_CHECK(options.horizon_seconds > 0.0);
-  PSTORE_CHECK(options.max_node >= 0);
+  const auto non_negative = [](double v) {
+    return std::isfinite(v) && v >= 0.0;
+  };
+  const auto positive = [](double v) { return std::isfinite(v) && v > 0.0; };
+  const auto fraction = [](double v) { return v > 0.0 && v <= 1.0; };
+  if (!(non_negative(options.crash_rate_per_hour) &&
+        non_negative(options.chunk_abort_rate_per_hour) &&
+        non_negative(options.straggler_rate_per_hour) &&
+        non_negative(options.degrade_rate_per_hour))) {
+    return Status::InvalidArgument(
+        "fault rates must be finite and non-negative");
+  }
+  if (!(positive(options.horizon_seconds) &&
+        positive(options.mean_outage_seconds) &&
+        positive(options.mean_straggler_seconds) &&
+        positive(options.mean_degrade_seconds))) {
+    return Status::InvalidArgument(
+        "fault horizon and mean durations must be finite and positive");
+  }
+  if (!(fraction(options.straggler_multiplier) &&
+        fraction(options.degrade_multiplier))) {
+    return Status::InvalidArgument("fault multipliers must be in (0, 1]");
+  }
+  if (options.max_node < 0) {
+    return Status::InvalidArgument("fault max_node must be >= 0");
+  }
   Rng rng(options.seed);
   std::vector<FaultEvent> events;
 

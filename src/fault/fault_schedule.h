@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/sim_time.h"
+#include "common/status.h"
 #include "sim/capacity_simulator.h"
 
 namespace pstore {
@@ -37,7 +38,9 @@ struct FaultEvent {
 
 // Knobs of the seeded-random fault stream. Rates are per hour of
 // simulated time; durations are exponential with the given means. A rate
-// of zero disables that fault class.
+// of zero disables that fault class. SeededRandom rejects a rate that is
+// negative or not finite, a horizon or mean duration that is not finite
+// and positive, a multiplier outside (0, 1], and a negative max_node.
 struct FaultScheduleOptions {
   uint64_t seed = 1;
   double horizon_seconds = 3600.0;
@@ -62,7 +65,8 @@ class FaultSchedule {
   FaultSchedule() = default;
 
   static FaultSchedule Scripted(std::vector<FaultEvent> events);
-  static FaultSchedule SeededRandom(const FaultScheduleOptions& options);
+  static StatusOr<FaultSchedule> SeededRandom(
+      const FaultScheduleOptions& options);
 
   const std::vector<FaultEvent>& events() const { return events_; }
   bool empty() const { return events_.empty(); }

@@ -110,6 +110,11 @@ StatusOr<TimeSeries> BuildWorkloadTrace(const WorkloadSpec& workload) {
       if (workload.step_slots == 0) {
         return Status::InvalidArgument("kStep workload with step_slots == 0");
       }
+      if (!(std::isfinite(workload.base_rate) && workload.base_rate >= 0.0 &&
+            std::isfinite(workload.peak_rate) && workload.peak_rate >= 0.0)) {
+        return Status::InvalidArgument(
+            "kStep workload needs finite, non-negative rates");
+      }
       trace = TimeSeries(workload.step_slot_seconds);
       for (size_t i = 0; i < workload.step_slots; ++i) {
         trace.Append(i < workload.step_at_slot ? workload.base_rate
@@ -123,15 +128,18 @@ StatusOr<TimeSeries> BuildWorkloadTrace(const WorkloadSpec& workload) {
   return trace;
 }
 
-StatusOr<SimResult> RunOne(const RunSpec& spec) {
+StatusOr<TimeSeries> BuildRunTrace(const RunSpec& spec) {
   WorkloadSpec workload = spec.workload;
   if (spec.seed != 0) {
-    // Override the seed of whichever generator the spec uses.
     workload.b2w.seed = spec.seed;
     workload.wikipedia.seed = spec.seed;
     workload.ycsb_seed = spec.seed;
   }
-  StatusOr<TimeSeries> trace = BuildWorkloadTrace(workload);
+  return BuildWorkloadTrace(workload);
+}
+
+StatusOr<SimResult> RunOne(const RunSpec& spec) {
+  StatusOr<TimeSeries> trace = BuildRunTrace(spec);
   if (!trace.ok()) return trace.status();
 
   CapacitySimulator sim(spec.sim);

@@ -91,11 +91,11 @@ struct WorkloadSpec {
 // spec (seeds included), so equal specs give bit-identical traces.
 StatusOr<TimeSeries> BuildWorkloadTrace(const WorkloadSpec& workload);
 
-// One complete description of a capacity-simulator run: the workload,
-// the simulator options, the strategy plus its knobs, and the trace
-// sink. This is the single entry point pstore_simulate, pstore_chaos
-// and the fig09/fig11/fig12/fig13/table2 benches construct — and the
-// unit of work RunSweep evaluates in parallel.
+// One complete description of a run: the workload, the simulator
+// options, the strategy plus its knobs, and the trace sink. RunOne (and
+// RunSweep, in parallel) executes it on the capacity simulator;
+// RunEngine (controller/engine_run.h) executes the label, strategy,
+// workload, seed, predictor_spec and tracer on the live engine.
 struct RunSpec {
   // Identifies the run in CSV output and sweep telemetry.
   std::string label;
@@ -120,7 +120,8 @@ struct RunSpec {
   // non-empty, RunOne materializes the model per task — built with the
   // run's coarse period/horizon as contextual defaults and fitted on the
   // pre-eval prefix of the coarse trace — so sweep tasks stay
-  // independent even with stateful (adaptive) models.
+  // independent even with stateful (adaptive) models. RunEngine also
+  // accepts "oracle" here.
   std::string predictor_spec;
 
   // Convenience: when nonzero, overrides workload.b2w.seed so sweeps
@@ -132,6 +133,10 @@ struct RunSpec {
   // which two specs alias one.
   obs::Tracer* tracer = nullptr;
 };
+
+// Materializes the spec's workload trace, with a nonzero `spec.seed`
+// overriding the seed of whichever generator the workload uses.
+StatusOr<TimeSeries> BuildRunTrace(const RunSpec& spec);
 
 // Executes one spec serially: builds the workload trace, constructs the
 // CapacitySimulator and dispatches on the strategy.

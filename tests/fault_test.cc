@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -34,6 +35,13 @@
 
 namespace pstore {
 namespace {
+
+// The seeded stream for options a test knows to be valid.
+FaultSchedule Seeded(const FaultScheduleOptions& options) {
+  StatusOr<FaultSchedule> schedule = FaultSchedule::SeededRandom(options);
+  EXPECT_TRUE(schedule.ok()) << schedule.status().ToString();
+  return schedule.ok() ? std::move(schedule).value() : FaultSchedule();
+}
 
 ClusterOptions TestCluster(int initial_nodes, int max_nodes = 16) {
   ClusterOptions options;
@@ -98,8 +106,8 @@ TEST(FaultScheduleTest, SeededRandomIsReproducible) {
   options.straggler_rate_per_hour = 6.0;
   options.degrade_rate_per_hour = 2.0;
 
-  const FaultSchedule a = FaultSchedule::SeededRandom(options);
-  const FaultSchedule b = FaultSchedule::SeededRandom(options);
+  const FaultSchedule a = Seeded(options);
+  const FaultSchedule b = Seeded(options);
   ASSERT_FALSE(a.empty());
   ASSERT_EQ(a.events().size(), b.events().size());
   for (size_t i = 0; i < a.events().size(); ++i) {
@@ -111,13 +119,60 @@ TEST(FaultScheduleTest, SeededRandomIsReproducible) {
   }
 
   options.seed = 54321;
-  const FaultSchedule c = FaultSchedule::SeededRandom(options);
+  const FaultSchedule c = Seeded(options);
   bool differs = c.events().size() != a.events().size();
   for (size_t i = 0; !differs && i < a.events().size(); ++i) {
     differs = a.events()[i].at != c.events()[i].at ||
               a.events()[i].kind != c.events()[i].kind;
   }
   EXPECT_TRUE(differs) << "different seeds produced identical streams";
+}
+
+TEST(FaultScheduleTest, SeededRandomRejectsBadOptions) {
+  const double nan = std::nan("");
+  const double inf = HUGE_VAL;
+  const std::vector<void (*)(FaultScheduleOptions*)> breakers = {
+      [](FaultScheduleOptions* o) { o->crash_rate_per_hour = -5.0; },
+      [](FaultScheduleOptions* o) { o->chunk_abort_rate_per_hour = -1.0; },
+      [](FaultScheduleOptions* o) { o->straggler_rate_per_hour = -0.5; },
+      [](FaultScheduleOptions* o) { o->degrade_rate_per_hour = -2.0; },
+      [](FaultScheduleOptions* o) { o->horizon_seconds = 0.0; },
+      [](FaultScheduleOptions* o) { o->mean_outage_seconds = 0.0; },
+      [](FaultScheduleOptions* o) { o->mean_straggler_seconds = -1.0; },
+      [](FaultScheduleOptions* o) { o->mean_degrade_seconds = 0.0; },
+      [](FaultScheduleOptions* o) { o->straggler_multiplier = 0.0; },
+      [](FaultScheduleOptions* o) { o->degrade_multiplier = 1.5; },
+      [](FaultScheduleOptions* o) { o->max_node = -1; },
+  };
+  const std::vector<void (*)(FaultScheduleOptions*, double)> non_finite = {
+      [](FaultScheduleOptions* o, double v) { o->crash_rate_per_hour = v; },
+      [](FaultScheduleOptions* o, double v) { o->horizon_seconds = v; },
+      [](FaultScheduleOptions* o, double v) { o->mean_outage_seconds = v; },
+      [](FaultScheduleOptions* o, double v) { o->straggler_multiplier = v; },
+  };
+  FaultScheduleOptions valid;
+  valid.seed = 3;
+  valid.max_node = 9;
+  valid.crash_rate_per_hour = 20.0;
+  ASSERT_TRUE(FaultSchedule::SeededRandom(valid).ok());
+  for (size_t i = 0; i < breakers.size(); ++i) {
+    FaultScheduleOptions options = valid;
+    breakers[i](&options);
+    const StatusOr<FaultSchedule> schedule =
+        FaultSchedule::SeededRandom(options);
+    EXPECT_EQ(schedule.status().code(), StatusCode::kInvalidArgument)
+        << "case " << i;
+  }
+  for (size_t i = 0; i < non_finite.size(); ++i) {
+    for (const double value : {nan, inf}) {
+      FaultScheduleOptions options = valid;
+      non_finite[i](&options, value);
+      const StatusOr<FaultSchedule> schedule =
+          FaultSchedule::SeededRandom(options);
+      EXPECT_EQ(schedule.status().code(), StatusCode::kInvalidArgument)
+          << "case " << i << " value " << value;
+    }
+  }
 }
 
 TEST(FaultScheduleTest, SeededRandomPairsWindowedFaults) {
@@ -128,7 +183,7 @@ TEST(FaultScheduleTest, SeededRandomPairsWindowedFaults) {
   options.crash_rate_per_hour = 3.0;
   options.straggler_rate_per_hour = 3.0;
   options.degrade_rate_per_hour = 1.0;
-  const FaultSchedule schedule = FaultSchedule::SeededRandom(options);
+  const FaultSchedule schedule = Seeded(options);
 
   int64_t counts[7] = {};
   for (const FaultEvent& event : schedule.events()) {
@@ -579,7 +634,7 @@ TEST(FaultDeterminismTest, SameSeedSameWindows) {
     fault_options.mean_outage_seconds = 20.0;
     fault_options.straggler_rate_per_hour = 12.0;
     fault_options.chunk_abort_rate_per_hour = 30.0;
-    const FaultSchedule schedule = FaultSchedule::SeededRandom(fault_options);
+    const FaultSchedule schedule = Seeded(fault_options);
 
     Harness harness(StepTrace(100, 50, 300.0, 800.0), 2);
     FaultInjector injector(&harness.loop, &harness.cluster, &harness.metrics,

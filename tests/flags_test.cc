@@ -5,6 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "common/status.h"
+
 namespace pstore {
 namespace {
 
@@ -104,6 +106,28 @@ TEST(FlagParserTest, GetStringsSeesBareBooleanAsTrue) {
   ASSERT_EQ(values.size(), 2u);
   EXPECT_EQ(values[0], "true");
   EXPECT_EQ(values[1], "true");
+}
+
+TEST(FlagParserTest, UnreadFlagIsAnError) {
+  FlagParser flags =
+      ParseOk({"--days=3", "--dayz=4", "--rule=a", "--verbose", "--zz"});
+  EXPECT_TRUE(flags.GetInt("days", 1).ok());
+  EXPECT_FALSE(flags.GetBool("absent", false));
+  EXPECT_EQ(flags.CheckAllRead().message(), "--dayz: unknown flag");
+
+  // Every getter counts as a read, GetStrings included; the first
+  // unread flag by name is the one reported.
+  (void)flags.GetDouble("dayz", 0.0);
+  EXPECT_EQ(flags.CheckAllRead().message(), "--rule: unknown flag");
+  EXPECT_EQ(flags.GetStrings("rule").size(), 1u);
+  EXPECT_EQ(flags.CheckAllRead().message(), "--verbose: unknown flag");
+  EXPECT_TRUE(flags.GetBool("verbose", false));
+  EXPECT_EQ(flags.GetString("zz", ""), "true");
+  EXPECT_TRUE(flags.CheckAllRead().ok());
+
+  const Status unknown = ParseOk({"--x=1"}).CheckAllRead();
+  EXPECT_EQ(unknown.code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(ParseOk({}).CheckAllRead().ok());
 }
 
 }  // namespace

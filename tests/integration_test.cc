@@ -16,9 +16,10 @@
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/sim_time.h"
+#include "common/status.h"
 #include "common/time_series.h"
+#include "controller/engine_run.h"
 #include "controller/predictive_controller.h"
-#include "controller/reactive_controller.h"
 #include "engine/cluster.h"
 #include "engine/event_loop.h"
 #include "engine/metrics.h"
@@ -28,7 +29,7 @@
 #include "planner/move_model.h"
 #include "prediction/naive_models.h"
 #include "prediction/online_predictor.h"
-#include "trace/b2w_trace_generator.h"
+#include "sim/run_spec.h"
 
 namespace pstore {
 namespace {
@@ -56,99 +57,47 @@ struct RunStats {
   int64_t committed = 0;
 };
 
-enum class Mode { kPredictive, kReactive, kStatic };
-
-RunStats RunExperiment(Mode mode, const TimeSeries& trace,
+// One RunEngine call over `trace`: a 10-node-max cluster with a fast
+// migration, and for kPredictive an oracle forecast inflated by 15%.
+RunStats RunExperiment(Strategy strategy, const TimeSeries& trace,
                        int initial_nodes) {
-  ClusterOptions cluster_options;
-  cluster_options.partitions_per_node = 6;
-  cluster_options.max_nodes = 10;
-  cluster_options.initial_nodes = initial_nodes;
-  cluster_options.num_buckets = 1200;
-  Cluster cluster(cluster_options);
+  RunSpec spec;
+  spec.label = StrategyName(strategy);
+  spec.strategy = strategy;
+  spec.workload.kind = WorkloadSpec::Kind::kProvided;
+  spec.workload.provided = &trace;
+  spec.predictor_spec = "oracle";
 
-  MetricsCollector metrics(1.0);
-  TxnExecutor executor(&cluster, &metrics, ExecutorOptions{});
-  PSTORE_CHECK_OK(b2w::RegisterProcedures(&executor));
-
-  b2w::B2wWorkloadOptions workload_options;
-  workload_options.cart_pool = 20000;
-  workload_options.checkout_pool = 8000;
-  b2w::Workload workload(workload_options);
-  PSTORE_CHECK_OK(workload.LoadInitialData(&cluster));
-
-  EventLoop loop;
-  MigrationOptions migration_options;
-  migration_options.net_rate_bytes_per_sec = 200e3;
-  migration_options.chunk_spacing_seconds = 0.5;
-  migration_options.chunk_bytes = 256 * 1024;
-  MigrationManager migration(&loop, &cluster, &metrics, migration_options);
-  metrics.RecordMachines(0, cluster.active_nodes());
-
-  DriverOptions driver_options;
-  driver_options.slot_sim_seconds = 6.0;
-  driver_options.rate_factor = 1.0;
-  driver_options.seed = 33;
-  WorkloadDriver driver(
-      &loop, &executor, trace,
-      [&workload](Rng& rng) { return workload.NextTransaction(rng); },
-      driver_options);
-
-  PlannerParams planner_params;
-  planner_params.target_rate_per_node = 285.0;
-  planner_params.max_rate_per_node = 350.0;
-  planner_params.partitions_per_node = 6;
-  planner_params.d_slots = SingleThreadFullMigrationSeconds(
-                               cluster.TotalDataBytes(), migration_options) /
-                           30.0;
-
-  std::unique_ptr<OnlinePredictor> predictor;
-  std::unique_ptr<PredictiveController> predictive;
-  std::unique_ptr<ReactiveController> reactive;
-  if (mode == Mode::kPredictive) {
-    OnlinePredictorOptions online_options;
-    online_options.inflation = 1.15;
-    online_options.refit_interval = 1u << 30;
-    online_options.training_window = 10;
-    predictor = std::make_unique<OnlinePredictor>(
-        std::make_unique<OraclePredictor>(trace), online_options);
-    PSTORE_CHECK_OK(predictor->Warmup(trace.Slice(0, 1)));
-    PredictiveControllerOptions options;
-    options.slot_sim_seconds = 6.0;
-    options.plan_slot_factor = 5;
-    options.horizon_plan_slots = 24;
-    options.planner_params = planner_params;
-    predictive = std::make_unique<PredictiveController>(
-        &loop, &cluster, &executor, &migration, predictor.get(), options);
-    predictive->Start();
-  } else if (mode == Mode::kReactive) {
-    ReactiveControllerOptions options;
-    options.slot_sim_seconds = 6.0;
-    options.planner_params = planner_params;
-    reactive = std::make_unique<ReactiveController>(
-        &loop, &cluster, &executor, &migration, options);
-    reactive->Start();
-  }
-
-  const SimTime end =
-      FromSeconds(trace.size() * 6.0);
-  driver.Start(end);
-  loop.RunUntil(end);
+  EngineRunOptions options;
+  options.cluster.max_nodes = 10;
+  options.cluster.initial_nodes = initial_nodes;
+  options.cluster.num_buckets = 1200;
+  options.b2w.cart_pool = 20000;
+  options.b2w.checkout_pool = 8000;
+  options.migration.net_rate_bytes_per_sec = 200e3;
+  options.migration.chunk_spacing_seconds = 0.5;
+  options.migration.chunk_bytes = 256 * 1024;
+  options.driver.seed = 33;
+  options.predictor.refit_interval = 1u << 30;
+  options.predictor.training_window = 10;
+  options.controller.horizon_plan_slots = 24;
 
   RunStats stats;
-  const auto windows = metrics.Finalize(end);
-  stats.violations = MetricsCollector::CountViolations(windows);
-  stats.avg_machines = metrics.AverageMachines(end);
-  stats.committed = executor.committed_count();
+  const StatusOr<EngineRunResult> run = RunEngine(spec, options);
+  EXPECT_TRUE(run.ok()) << run.status().ToString();
+  if (!run.ok()) return stats;
+  stats.violations = run->sla.total;
+  stats.avg_machines = run->avg_machines;
+  stats.committed = run->committed;
   return stats;
 }
 
 TEST(IntegrationTest, PredictiveBeatsReactiveAndHalvesStaticCost) {
   const TimeSeries trace = CompressedDay(2);
 
-  const RunStats pstore = RunExperiment(Mode::kPredictive, trace, 2);
-  const RunStats reactive = RunExperiment(Mode::kReactive, trace, 2);
-  const RunStats static6 = RunExperiment(Mode::kStatic, trace, 6);
+  const RunStats pstore = RunExperiment(Strategy::kPredictive, trace, 2);
+  const RunStats reactive = RunExperiment(Strategy::kReactive, trace, 2);
+  const RunStats static6 = RunExperiment(Strategy::kStatic, trace, 6);
 
   // The static peak allocation serves everything without violations.
   EXPECT_EQ(static6.violations.p50, 0);

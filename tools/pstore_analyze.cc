@@ -63,27 +63,25 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "pstore_analyze: %s\n", parsed.ToString().c_str());
     return Usage();
   }
-  for (const auto& flag : flags.flags()) {
-    if (flag.first != "check" && flag.first != "list-checks" &&
-        flag.first != "rule" && flag.first != "list-rules" &&
-        flag.first != "threads" && flag.first != "format") {
-      return Usage();
-    }
-  }
   std::vector<std::string> roots = flags.positional();
   std::vector<std::string> rules = SplitCommaList(flags.GetStrings("check"));
   for (const std::string& rule : SplitCommaList(flags.GetStrings("rule"))) {
     rules.push_back(rule);
   }
-  const bool list_rules = flags.GetBool("list-checks", false) ||
-                          flags.GetBool("list-rules", false);
+  const bool list_checks = flags.GetBool("list-checks", false);
+  const bool list_rules = flags.GetBool("list-rules", false) || list_checks;
   const pstore::StatusOr<int64_t> threads = flags.GetInt("threads", 1);
+  const std::string format = flags.GetString("format", "text");
+  const pstore::Status all_read = flags.CheckAllRead();
+  if (!all_read.ok()) {
+    std::fprintf(stderr, "pstore_analyze: %s\n", all_read.message().c_str());
+    return Usage();
+  }
   if (!threads.ok()) {
     std::fprintf(stderr, "pstore_analyze: %s\n",
                  threads.status().ToString().c_str());
     return 2;
   }
-  const std::string format = flags.GetString("format", "text");
   if (format != "text" && format != "json") {
     std::fprintf(stderr, "pstore_analyze: unknown --format '%s'\n",
                  format.c_str());

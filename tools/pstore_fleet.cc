@@ -38,7 +38,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -117,17 +116,6 @@ int main(int argc, char** argv) {
   FlagParser flags;
   const Status parsed = flags.Parse(argc - 1, argv + 1);
   if (!parsed.ok()) return Fail(parsed.ToString());
-  static const std::set<std::string> kKnownFlags = {
-      "tenants", "b2w", "wiki", "ycsb", "step", "days", "seed",
-      "partitions", "threads", "q", "qhat", "interference", "inflation",
-      "mean-peak", "sla", "forecast", "forecast-refit", "mode", "csv-out",
-      "trace-out", "bench-json"};
-  for (const auto& [name, value] : flags.flags()) {
-    if (kKnownFlags.count(name) == 0) {
-      return Fail("--" + name + ": unknown flag");
-    }
-  }
-
   const StatusOr<int64_t> tenants = flags.GetInt("tenants", 0);
   const StatusOr<int64_t> b2w = flags.GetInt("b2w", 0);
   const StatusOr<int64_t> wiki = flags.GetInt("wiki", 0);
@@ -143,11 +131,20 @@ int main(int argc, char** argv) {
   const StatusOr<double> inflation = flags.GetDouble("inflation", 1.15);
   const StatusOr<double> mean_peak = flags.GetDouble("mean-peak", 60.0);
   const StatusOr<double> sla = flags.GetDouble("sla", 0.01);
+  const std::string forecast_spec = flags.GetString("forecast", "");
+  const StatusOr<int64_t> forecast_refit = flags.GetInt("forecast-refit", 288);
+  const std::string mode_flag = flags.GetString("mode", "both");
+  const std::string trace_out = flags.GetString("trace-out", "");
+  const std::string csv_out = flags.GetString("csv-out", "");
+  const std::string bench_json = flags.GetString("bench-json", "");
+  const Status all_read = flags.CheckAllRead();
+  if (!all_read.ok()) return Fail(all_read.message());
   for (const Status& status :
        {tenants.status(), b2w.status(), wiki.status(), ycsb.status(),
         step.status(), days.status(), seed.status(), partitions.status(),
         threads.status(), q.status(), qhat.status(), interference.status(),
-        inflation.status(), mean_peak.status(), sla.status()}) {
+        inflation.status(), mean_peak.status(), sla.status(),
+        forecast_refit.status()}) {
     if (!status.ok()) return Fail(status.ToString());
   }
   for (const auto& [name, count] :
@@ -198,11 +195,7 @@ int main(int argc, char** argv) {
   options.controller.inflation = *inflation;
   // Optional spec-built per-tenant forecasters, built once here the way
   // every tenant's will be, so a bad spec fails with the flag's name.
-  const std::string forecast_spec = flags.GetString("forecast", "");
   if (!forecast_spec.empty()) {
-    const StatusOr<int64_t> forecast_refit =
-        flags.GetInt("forecast-refit", 288);
-    if (!forecast_refit.ok()) return Fail(forecast_refit.status().ToString());
     if (*forecast_refit < 1) return Fail("--forecast-refit: must be >= 1");
     options.controller.forecast_spec = forecast_spec;
     options.controller.forecast_refit_interval =
@@ -220,7 +213,6 @@ int main(int argc, char** argv) {
   // forecasters' daily seasonal period.
   options.eval_begin = 1440;
 
-  const std::string mode_flag = flags.GetString("mode", "both");
   std::vector<FleetMode> modes;
   if (mode_flag == "both") {
     modes = {FleetMode::kFleet, FleetMode::kDedicated};
@@ -231,7 +223,6 @@ int main(int argc, char** argv) {
   }
 
   obs::Tracer tracer;
-  const std::string trace_out = flags.GetString("trace-out", "");
   if (!trace_out.empty()) {
     const Status opened = tracer.OpenJsonl(trace_out);
     if (!opened.ok()) return Fail(opened.ToString());
@@ -259,7 +250,6 @@ int main(int argc, char** argv) {
     csv += FleetCsvRows(*result);
   }
 
-  const std::string csv_out = flags.GetString("csv-out", "");
   if (!csv_out.empty()) {
     std::FILE* file = std::fopen(csv_out.c_str(), "w");
     if (file == nullptr) return Fail("cannot open " + csv_out);
@@ -277,7 +267,6 @@ int main(int argc, char** argv) {
                 trace_out.c_str(), trace_out.c_str());
   }
 
-  const std::string bench_json = flags.GetString("bench-json", "");
   if (!bench_json.empty()) {
     const Status written = registry.WriteJson(bench_json);
     if (!written.ok()) return Fail(written.ToString());

@@ -52,12 +52,6 @@ int main(int argc, char** argv) {
   if (!parsed.ok()) return Fail(parsed.ToString());
 
   const std::string trace_path = flags.GetString("trace", "");
-  if (trace_path.empty()) {
-    return Fail("--trace=<csv> is required (see pstore_tracegen)");
-  }
-  StatusOr<TimeSeries> trace = LoadTraceCsv(trace_path);
-  if (!trace.ok()) return Fail(trace.status().ToString());
-
   const StatusOr<double> q = flags.GetDouble("q", 3600.0);
   const StatusOr<double> qhat = flags.GetDouble("qhat", 4400.0);
   const StatusOr<double> d_minutes = flags.GetDouble("d-minutes", 77.0);
@@ -66,12 +60,22 @@ int main(int argc, char** argv) {
   const StatusOr<int64_t> train_days = flags.GetInt("train-days", 28);
   const StatusOr<int64_t> horizon_hours = flags.GetInt("horizon-hours", 4);
   const StatusOr<double> inflation = flags.GetDouble("inflation", 1.15);
+  const std::string model_name = flags.GetString("model", "spar");
+  const std::string load_model = flags.GetString("load-model", "");
+  const std::string save_model = flags.GetString("save-model", "");
+  const Status all_read = flags.CheckAllRead();
+  if (!all_read.ok()) return Fail(all_read.message());
   for (const Status& status :
        {q.status(), qhat.status(), d_minutes.status(), partitions.status(),
         nodes.status(), train_days.status(), horizon_hours.status(),
         inflation.status()}) {
     if (!status.ok()) return Fail(status.ToString());
   }
+  if (trace_path.empty()) {
+    return Fail("--trace=<csv> is required (see pstore_tracegen)");
+  }
+  StatusOr<TimeSeries> trace = LoadTraceCsv(trace_path);
+  if (!trace.ok()) return Fail(trace.status().ToString());
 
   const double slot_seconds = trace->slot_seconds();
   const size_t slots_per_day =
@@ -84,8 +88,6 @@ int main(int argc, char** argv) {
   }
 
   // Fit the requested model on the training head (or load a saved one).
-  const std::string model_name = flags.GetString("model", "spar");
-  const std::string load_model = flags.GetString("load-model", "");
   std::unique_ptr<LoadPredictor> model;
   if (!load_model.empty()) {
     StatusOr<SparPredictor> loaded = SparPredictor::LoadFromFile(load_model);
@@ -116,7 +118,6 @@ int main(int argc, char** argv) {
       return Fail(model_name + " fit failed: " + fit.ToString());
     }
   }
-  const std::string save_model = flags.GetString("save-model", "");
   if (!save_model.empty()) {
     auto* spar_model = dynamic_cast<SparPredictor*>(model.get());
     if (spar_model == nullptr) {

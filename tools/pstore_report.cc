@@ -35,10 +35,12 @@ int main(int argc, char** argv) {
   if (!parsed.ok()) return Fail(parsed.ToString());
 
   const std::string trace_path = flags.GetString("trace", "");
-  if (trace_path.empty()) return Fail("--trace=<jsonl> is required");
   const StatusOr<int64_t> max_rows = flags.GetInt("max-rows", 40);
-  if (!max_rows.ok()) return Fail(max_rows.status().ToString());
   const std::string csv_path = flags.GetString("csv", "");
+  const Status all_read = flags.CheckAllRead();
+  if (!all_read.ok()) return Fail(all_read.message());
+  if (trace_path.empty()) return Fail("--trace=<jsonl> is required");
+  if (!max_rows.ok()) return Fail(max_rows.status().ToString());
 
   StatusOr<std::vector<obs::ParsedTraceEvent>> events =
       obs::ReadTraceFile(trace_path);

@@ -32,6 +32,8 @@
 //   pstore_simulate --trace=trace.csv --seed=7 --crash-rate=0.1
 //       [--mean-outage-minutes=30] [--straggler-rate=0.2]
 //       [--fault-nodes=10]
+// Rates must be finite and >= 0 and the mean outage > 0. Unknown flags
+// are rejected with "error: --<flag>: unknown flag".
 //
 // Machine-readable outputs:
 //   --trace-out=run.jsonl   structured event trace with sweep telemetry
@@ -40,8 +42,11 @@
 //   --csv-out=sweep.csv     deterministic per-strategy result rows
 //   --bench-json=out.json   headline metrics as a JSON metrics registry
 
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/flags.h"
@@ -102,10 +107,7 @@ int main(int argc, char** argv) {
   if (!parsed.ok()) return Fail(parsed.ToString());
 
   const std::string trace_path = flags.GetString("trace", "");
-  if (trace_path.empty()) return Fail("--trace=<csv> is required");
-  StatusOr<TimeSeries> trace = LoadTraceCsv(trace_path);
-  if (!trace.ok()) return Fail(trace.status().ToString());
-
+  const std::string strategy_flag = flags.GetString("strategy", "pstore");
   const StatusOr<double> q = flags.GetDouble("q", 285.0);
   const StatusOr<double> qhat = flags.GetDouble("qhat", 350.0);
   const StatusOr<double> d_minutes = flags.GetDouble("d-minutes", 77.0);
@@ -113,11 +115,50 @@ int main(int argc, char** argv) {
   const StatusOr<int64_t> train_days = flags.GetInt("train-days", 28);
   const StatusOr<double> inflation = flags.GetDouble("inflation", 1.15);
   const StatusOr<int64_t> threads = flags.GetInt("threads", 0);
+  const std::string predictor_spec =
+      flags.GetString("predictor", "spar(n=7,m=6)");
+  // Strategy knobs, read whether or not their strategy runs.
+  const StatusOr<double> watermark =
+      flags.GetDouble("watermark", ReactiveSimParams{}.high_watermark);
+  const StatusOr<int64_t> static_nodes = flags.GetInt("nodes", 10);
+  const StatusOr<int64_t> day_nodes = flags.GetInt("day-nodes", 10);
+  const StatusOr<int64_t> night_nodes = flags.GetInt("night-nodes", 3);
+  // Seeded-random fault stream, mapped onto capacity windows.
+  const StatusOr<int64_t> seed = flags.GetInt("seed", 0);
+  const StatusOr<double> crash_rate = flags.GetDouble("crash-rate", 0.0);
+  const StatusOr<double> mean_outage =
+      flags.GetDouble("mean-outage-minutes", 30.0);
+  const StatusOr<double> straggler_rate =
+      flags.GetDouble("straggler-rate", 0.0);
+  const StatusOr<int64_t> fault_nodes = flags.GetInt("fault-nodes", 10);
+  const std::string trace_out = flags.GetString("trace-out", "");
+  const std::string csv_out = flags.GetString("csv-out", "");
+  const std::string bench_json = flags.GetString("bench-json", "");
+  const Status all_read = flags.CheckAllRead();
+  if (!all_read.ok()) return Fail(all_read.message());
   for (const Status& status :
        {q.status(), qhat.status(), d_minutes.status(), partitions.status(),
-        train_days.status(), inflation.status(), threads.status()}) {
+        train_days.status(), inflation.status(), threads.status(),
+        watermark.status(), static_nodes.status(), day_nodes.status(),
+        night_nodes.status(), seed.status(), crash_rate.status(),
+        mean_outage.status(), straggler_rate.status(),
+        fault_nodes.status()}) {
     if (!status.ok()) return Fail(status.ToString());
   }
+  for (const auto& [name, value] :
+       {std::pair<const char*, double>{"crash-rate", *crash_rate},
+        {"straggler-rate", *straggler_rate}}) {
+    if (!(std::isfinite(value) && value >= 0.0)) {
+      return Fail(std::string("--") + name + ": must be finite and >= 0");
+    }
+  }
+  if (!(std::isfinite(*mean_outage) && *mean_outage > 0.0)) {
+    return Fail("--mean-outage-minutes: must be finite and > 0");
+  }
+
+  if (trace_path.empty()) return Fail("--trace=<csv> is required");
+  StatusOr<TimeSeries> trace = LoadTraceCsv(trace_path);
+  if (!trace.ok()) return Fail(trace.status().ToString());
 
   const double slot_seconds = trace->slot_seconds();
   const size_t slots_per_day =
@@ -136,19 +177,6 @@ int main(int argc, char** argv) {
     return Fail("trace too short for --train-days plus one day");
   }
 
-  // Seeded-random fault stream, mapped onto capacity windows.
-  const StatusOr<int64_t> seed = flags.GetInt("seed", 0);
-  const StatusOr<double> crash_rate = flags.GetDouble("crash-rate", 0.0);
-  const StatusOr<double> mean_outage =
-      flags.GetDouble("mean-outage-minutes", 30.0);
-  const StatusOr<double> straggler_rate =
-      flags.GetDouble("straggler-rate", 0.0);
-  const StatusOr<int64_t> fault_nodes = flags.GetInt("fault-nodes", 10);
-  for (const Status& status :
-       {seed.status(), crash_rate.status(), mean_outage.status(),
-        straggler_rate.status(), fault_nodes.status()}) {
-    if (!status.ok()) return Fail(status.ToString());
-  }
   if (*seed != 0 && (*crash_rate > 0.0 || *straggler_rate > 0.0)) {
     if (*fault_nodes < 1) return Fail("--fault-nodes must be >= 1");
     FaultScheduleOptions fault_options;
@@ -159,27 +187,26 @@ int main(int argc, char** argv) {
     fault_options.crash_rate_per_hour = *crash_rate;
     fault_options.mean_outage_seconds = *mean_outage * 60.0;
     fault_options.straggler_rate_per_hour = *straggler_rate;
-    const FaultSchedule schedule =
+    const StatusOr<FaultSchedule> schedule =
         FaultSchedule::SeededRandom(fault_options);
-    options.faults = ToCapacityFaults(schedule, slot_seconds,
+    if (!schedule.ok()) return Fail(schedule.status().ToString());
+    options.faults = ToCapacityFaults(*schedule, slot_seconds,
                                       static_cast<int>(*fault_nodes));
     std::printf("Fault stream: seed %lld, %zu events, %zu capacity "
                 "windows\n",
-                static_cast<long long>(*seed), schedule.events().size(),
+                static_cast<long long>(*seed), schedule->events().size(),
                 options.faults.size());
   }
   options.fine_slot_sim_seconds = slot_seconds;
 
   // One RunSpec per requested strategy, all borrowing the loaded trace.
   const std::vector<std::string> strategy_names =
-      SplitCommaList(flags.GetString("strategy", "pstore"));
+      SplitCommaList(strategy_flag);
   if (strategy_names.empty()) return Fail("--strategy lists no strategy");
 
   // Predictor spec for kPredictive runs; validated up front so a typo
   // fails before any strategy runs. RunOne materializes and fits one
   // instance per predictive task (see RunSpec::predictor_spec).
-  const std::string predictor_spec =
-      flags.GetString("predictor", "spar(n=7,m=6)");
   {
     const StatusOr<PredictorSpec> spec_check =
         ParsePredictorSpec(predictor_spec);
@@ -205,24 +232,15 @@ int main(int argc, char** argv) {
         break;
       }
       case Strategy::kReactive: {
-        const StatusOr<double> watermark =
-            flags.GetDouble("watermark", spec.reactive.high_watermark);
-        if (!watermark.ok()) return Fail(watermark.status().ToString());
         spec.reactive.high_watermark = *watermark;
         break;
       }
       case Strategy::kStatic: {
-        const StatusOr<int64_t> nodes = flags.GetInt("nodes", 10);
-        if (!nodes.ok()) return Fail(nodes.status().ToString());
-        spec.static_nodes = static_cast<int>(*nodes);
+        spec.static_nodes = static_cast<int>(*static_nodes);
         break;
       }
       case Strategy::kSimple: {
         spec.simple.slots_per_day = static_cast<int>(slots_per_day);
-        const StatusOr<int64_t> day_nodes = flags.GetInt("day-nodes", 10);
-        const StatusOr<int64_t> night_nodes = flags.GetInt("night-nodes", 3);
-        if (!day_nodes.ok()) return Fail(day_nodes.status().ToString());
-        if (!night_nodes.ok()) return Fail(night_nodes.status().ToString());
         spec.simple.day_nodes = static_cast<int>(*day_nodes);
         spec.simple.night_nodes = static_cast<int>(*night_nodes);
         break;
@@ -234,7 +252,6 @@ int main(int argc, char** argv) {
   // Structured run trace: sweep telemetry always; per-cycle simulator
   // events only for a single-strategy run (a Tracer is single-threaded,
   // so concurrent specs cannot share it).
-  const std::string trace_out = flags.GetString("trace-out", "");
   obs::Tracer tracer;
   if (!trace_out.empty()) {
     const Status opened = tracer.OpenJsonl(trace_out);
@@ -248,7 +265,7 @@ int main(int argc, char** argv) {
 
   std::printf("Strategies [%s] over %zu evaluation slots (Q=%.0f "
               "Qhat=%.0f D=%.0fmin)\n",
-              flags.GetString("strategy", "pstore").c_str(),
+              strategy_flag.c_str(),
               trace->size() - options.eval_begin, *q, *qhat, *d_minutes);
   const StatusOr<SweepResult> sweep = RunSweep(specs, sweep_options);
   if (!sweep.ok()) return Fail(sweep.status().ToString());
@@ -260,7 +277,6 @@ int main(int argc, char** argv) {
     Report(sweep->results[i], slot_seconds);
   }
 
-  const std::string csv_out = flags.GetString("csv-out", "");
   if (!csv_out.empty()) {
     const std::string rows = SweepCsvRows(specs, *sweep);
     std::FILE* file = std::fopen(csv_out.c_str(), "w");
@@ -279,7 +295,6 @@ int main(int argc, char** argv) {
                 trace_out.c_str(), trace_out.c_str());
   }
 
-  const std::string bench_json = flags.GetString("bench-json", "");
   if (!bench_json.empty()) {
     obs::MetricsRegistry registry;
     for (size_t i = 0; i < specs.size(); ++i) {

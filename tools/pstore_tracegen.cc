@@ -40,29 +40,34 @@ int main(int argc, char** argv) {
   const std::string out = flags.GetString("out", "trace.csv");
   const StatusOr<int64_t> days = flags.GetInt("days", 30);
   const StatusOr<int64_t> seed = flags.GetInt("seed", 42);
-  if (!days.ok()) return Fail(days.status().ToString());
-  if (!seed.ok()) return Fail(seed.status().ToString());
+  // --kind=b2w knobs.
+  const B2wTraceOptions b2w_defaults;
+  const StatusOr<double> peak = flags.GetDouble("peak", 22000.0);
+  const StatusOr<double> trough =
+      flags.GetDouble("trough-fraction", b2w_defaults.trough_fraction);
+  const StatusOr<double> noise =
+      flags.GetDouble("noise", b2w_defaults.slot_noise_sigma);
+  const StatusOr<double> drift =
+      flags.GetDouble("drift", b2w_defaults.drift_sigma);
+  const StatusOr<double> promo =
+      flags.GetDouble("promo-probability", b2w_defaults.promo_probability);
+  const StatusOr<int64_t> black_friday = flags.GetInt("black-friday", -1);
+  // --kind=wikipedia knob.
+  const std::string edition = flags.GetString("edition", "en");
+  const Status all_read = flags.CheckAllRead();
+  if (!all_read.ok()) return Fail(all_read.message());
+  for (const Status& status :
+       {days.status(), seed.status(), peak.status(), trough.status(),
+        noise.status(), drift.status(), promo.status(),
+        black_friday.status()}) {
+    if (!status.ok()) return Fail(status.ToString());
+  }
 
   TimeSeries trace;
   if (kind == "b2w") {
     B2wTraceOptions options;
     options.days = static_cast<int>(*days);
     options.seed = static_cast<uint64_t>(*seed);
-    const StatusOr<double> peak = flags.GetDouble("peak", 22000.0);
-    const StatusOr<double> trough =
-        flags.GetDouble("trough-fraction", options.trough_fraction);
-    const StatusOr<double> noise =
-        flags.GetDouble("noise", options.slot_noise_sigma);
-    const StatusOr<double> drift =
-        flags.GetDouble("drift", options.drift_sigma);
-    const StatusOr<double> promo =
-        flags.GetDouble("promo-probability", options.promo_probability);
-    const StatusOr<int64_t> black_friday = flags.GetInt("black-friday", -1);
-    for (const Status& status :
-         {peak.status(), trough.status(), noise.status(), drift.status(),
-          promo.status(), black_friday.status()}) {
-      if (!status.ok()) return Fail(status.ToString());
-    }
     options.peak_requests_per_min = *peak;
     options.trough_fraction = *trough;
     options.slot_noise_sigma = *noise;
@@ -74,7 +79,6 @@ int main(int argc, char** argv) {
     WikipediaTraceOptions options;
     options.days = static_cast<int>(*days);
     options.seed = static_cast<uint64_t>(*seed);
-    const std::string edition = flags.GetString("edition", "en");
     if (edition == "en") {
       options.edition = WikipediaEdition::kEnglish;
     } else if (edition == "de") {

@@ -31,8 +31,10 @@ int main(int argc, char** argv) {
   const Status parsed = flags.Parse(argc - 1, argv + 1);
   if (!parsed.ok()) return Fail(parsed.ToString());
   const std::string path = flags.GetString("trace", "");
-  if (path.empty()) return Fail("--trace=<csv> is required");
   const StatusOr<double> q = flags.GetDouble("q", 0.0);
+  const Status all_read = flags.CheckAllRead();
+  if (!all_read.ok()) return Fail(all_read.message());
+  if (path.empty()) return Fail("--trace=<csv> is required");
   if (!q.ok()) return Fail(q.status().ToString());
 
   StatusOr<TimeSeries> trace = LoadTraceCsv(path);
