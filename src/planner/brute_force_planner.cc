@@ -30,16 +30,21 @@ struct SearchState {
 };
 
 // Returns true if the move from `before` to `after` ending at slot `end`
-// keeps load under the effective capacity throughout.
+// keeps load under the effective capacity throughout: Eq. 7, or the full
+// capacity of `after` machines under assume_instant_capacity.
 bool MoveFeasible(const SearchState& state, int start, int end, int before,
                   int after) {
+  const PlannerParams& params = state.rules->params();
   const int duration = end - start;
   for (int i = 1; i <= duration; ++i) {
     const double fraction =
         static_cast<double>(i) / static_cast<double>(duration);
-    if ((*state.load)[static_cast<size_t>(start + i)] >
-        EffectiveCapacity(NodeCount(before), NodeCount(after), fraction,
-                          state.rules->params())) {
+    const double capacity =
+        params.assume_instant_capacity
+            ? Capacity(NodeCount(after), params)
+            : EffectiveCapacity(NodeCount(before), NodeCount(after),
+                                fraction, params);
+    if ((*state.load)[static_cast<size_t>(start + i)] > capacity) {
       return false;
     }
   }

@@ -33,12 +33,27 @@ struct DpState {
   const std::vector<double>* load;  // length T+1, indices 0..T
   int n0;
   int z;
-  const DpPlanner* planner;
-  const PlannerParams* params;
   // memo[t * (z + 1) + nodes]
   std::vector<MemoEntry> memo;
+  // Transition tables over 1 <= B, A <= z, indexed by Pair(B, A) and
+  // filled by RunSearch from the planner's own rules: the move's length
+  // in slots (MoveSlots), its charged cost (MoveCostCharged), and where
+  // its window starts in `window_capacity`. A move's window holds the
+  // capacity SubCost tests at each step i = 1..duration (Eq. 7 at
+  // i / duration, or Capacity(A) under assume_instant_capacity). Moves
+  // longer than the horizon have no window: SubCost rejects them first.
+  std::vector<int> move_slots;
+  std::vector<double> move_cost;
+  std::vector<size_t> window_begin;
+  std::vector<double> window_capacity;
+  // capacity[n] = Capacity(n), Eq. 5, for 0 <= n <= z.
+  std::vector<double> capacity;
 
   MemoEntry& At(int t, int nodes) { return memo[t * (z + 1) + nodes]; }
+  size_t Pair(int before, int after) const {
+    return static_cast<size_t>(before - 1) * static_cast<size_t>(z) +
+           static_cast<size_t>(after - 1);
+  }
 };
 
 double Cost(DpState* state, int t, int nodes);
@@ -48,27 +63,24 @@ double Cost(DpState* state, int t, int nodes);
 // would start in the past or the predicted load exceeds the effective
 // capacity at any point during the move.
 double SubCost(DpState* state, int t, int before, int after) {
-  const int duration =
-      state->planner->MoveSlots(NodeCount(before), NodeCount(after));
+  const size_t pair = state->Pair(before, after);
+  const int duration = state->move_slots[pair];
   const int start_move = t - duration;
   if (start_move < 0) return kInfinity;
+  // Cost(start_move, before)'s two memo-free infeasibility tests, run
+  // ahead of the window: neither has a side effect, so the order does
+  // not change the result or the memo.
+  const std::vector<double>& load = *state->load;
+  if (start_move == 0 && before != state->n0) return kInfinity;
+  if (load[start_move] > state->capacity[before]) return kInfinity;
+  const double* window = state->window_capacity.data() +
+                         state->window_begin[pair];
   for (int i = 1; i <= duration; ++i) {
-    const double load = (*state->load)[start_move + i];
-    const double fraction =
-        static_cast<double>(i) / static_cast<double>(duration);
-    const double capacity =
-        state->params->assume_instant_capacity
-            ? Capacity(NodeCount(after), *state->params)
-            : EffectiveCapacity(NodeCount(before), NodeCount(after), fraction,
-                                *state->params);
-    if (load > capacity) {
-      return kInfinity;
-    }
+    if (load[start_move + i] > window[i - 1]) return kInfinity;
   }
   const double prior = Cost(state, start_move, before);
   if (prior == kInfinity) return kInfinity;
-  return prior + state->planner->MoveCostCharged(NodeCount(before),
-                                                 NodeCount(after));
+  return prior + state->move_cost[pair];
 }
 
 // Algorithm 2 (cost): minimum cost of a feasible sequence of moves ending
@@ -76,9 +88,7 @@ double SubCost(DpState* state, int t, int before, int after) {
 double Cost(DpState* state, int t, int nodes) {
   if (t < 0) return kInfinity;
   if (t == 0 && nodes != state->n0) return kInfinity;
-  if ((*state->load)[t] > Capacity(NodeCount(nodes), *state->params)) {
-    return kInfinity;
-  }
+  if ((*state->load)[t] > state->capacity[nodes]) return kInfinity;
   MemoEntry& entry = state->At(t, nodes);
   if (entry.computed) return entry.cost;
   entry.computed = true;  // set before recursing; t strictly decreases
@@ -97,8 +107,7 @@ double Cost(DpState* state, int t, int nodes) {
   }
   entry.cost = best;
   if (best_before >= 0 && best < kInfinity) {
-    entry.prev_time =
-        t - state->planner->MoveSlots(NodeCount(best_before), NodeCount(nodes));
+    entry.prev_time = t - state->move_slots[state->Pair(best_before, nodes)];
     entry.prev_nodes = best_before;
   }
   return entry.cost;
@@ -179,9 +188,50 @@ StatusOr<PlanResult> DpPlanner::RunSearch(
   state.load = &predicted_load;
   state.n0 = initial_nodes.value();
   state.z = z;
-  state.planner = this;
-  state.params = &params_;
   state.memo.assign(static_cast<size_t>(horizon + 1) * (z + 1), {});
+
+  // Fill the transition tables once per search by calling the rules
+  // themselves, so every entry is bit-identical to computing it per
+  // transition. Durations come first: they size the windows.
+  const size_t pairs = static_cast<size_t>(z) * static_cast<size_t>(z);
+  state.move_slots.resize(pairs);
+  state.move_cost.resize(pairs);
+  state.window_begin.resize(pairs);
+  state.capacity.resize(static_cast<size_t>(z) + 1);
+  for (int n = 0; n <= z; ++n) {
+    state.capacity[static_cast<size_t>(n)] = Capacity(NodeCount(n), params_);
+  }
+  size_t window_size = 0;
+  for (int before = 1; before <= z; ++before) {
+    for (int after = 1; after <= z; ++after) {
+      const size_t pair = state.Pair(before, after);
+      const int duration = MoveSlots(NodeCount(before), NodeCount(after));
+      state.move_slots[pair] = duration;
+      state.move_cost[pair] =
+          MoveCostCharged(NodeCount(before), NodeCount(after));
+      state.window_begin[pair] = window_size;
+      if (duration <= horizon) window_size += static_cast<size_t>(duration);
+    }
+  }
+  state.window_capacity.resize(window_size);
+  for (int before = 1; before <= z; ++before) {
+    for (int after = 1; after <= z; ++after) {
+      const size_t pair = state.Pair(before, after);
+      const int duration = state.move_slots[pair];
+      if (duration > horizon) continue;
+      double* window =
+          state.window_capacity.data() + state.window_begin[pair];
+      for (int i = 1; i <= duration; ++i) {
+        const double fraction =
+            static_cast<double>(i) / static_cast<double>(duration);
+        window[i - 1] =
+            params_.assume_instant_capacity
+                ? Capacity(NodeCount(after), params_)
+                : EffectiveCapacity(NodeCount(before), NodeCount(after),
+                                    fraction, params_);
+      }
+    }
+  }
 
   // Try to end the horizon with as few machines as possible (Algorithm 1
   // lines 3-12); the first feasible target is the answer.

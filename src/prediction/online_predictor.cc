@@ -37,9 +37,11 @@ void OnlinePredictor::CalibrateInflation(const TimeSeries& training) {
   const size_t stride = std::max<size_t>(1, span / samples);
   std::vector<double> ratios;
   ratios.reserve(samples);
+  // The prefix [0, t] each prediction reads, grown in place.
+  TimeSeries history = training.Slice(0, begin);
   for (size_t t = begin; t + tau < training.size(); t += stride) {
-    StatusOr<double> prediction =
-        model_->PredictAhead(training.Slice(0, t + 1), tau);
+    while (history.size() <= t) history.Append(training[history.size()]);
+    StatusOr<double> prediction = model_->PredictAhead(history, tau);
     if (!prediction.ok() || *prediction <= 0.0) continue;
     ratios.push_back(training[t + tau] / *prediction);
   }

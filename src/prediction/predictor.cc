@@ -29,8 +29,10 @@ StatusOr<EvaluationResult> EvaluatePredictor(const LoadPredictor& model,
   EvaluationResult result;
   result.predicted.reserve(series.size() - eval_begin - tau);
   result.actual.reserve(series.size() - eval_begin - tau);
+  // Grown in place so the walk is O(n), not O(n^2) in slices.
+  TimeSeries history = series.Slice(0, eval_begin);
   for (size_t t = eval_begin; t + tau < series.size(); ++t) {
-    const TimeSeries history = series.Slice(0, t + 1);
+    history.Append(series[t]);
     StatusOr<double> prediction = model.PredictAhead(history, tau);
     if (!prediction.ok()) return prediction.status();
     result.predicted.push_back(*prediction);

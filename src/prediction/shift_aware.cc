@@ -36,11 +36,13 @@ void ShiftAwarePredictor::ComputeBaseline(const TimeSeries& training) {
   const size_t stride = std::max<size_t>(1, span / samples);
   double sum = 0.0;
   size_t used = 0;
+  // The prefix [0, t] each prediction reads, grown in place.
+  TimeSeries history = training.Slice(0, begin);
   for (size_t t = begin; t + 1 < training.size(); t += stride) {
+    while (history.size() <= t) history.Append(training[history.size()]);
     const double actual = training[t + 1];
     if (std::abs(actual) < kMreMinActual) continue;
-    StatusOr<double> prediction =
-        base_->PredictAhead(training.Slice(0, t + 1), 1);
+    StatusOr<double> prediction = base_->PredictAhead(history, 1);
     if (!prediction.ok()) continue;
     sum += std::abs(*prediction - actual) / std::abs(actual);
     ++used;

@@ -26,6 +26,40 @@ double RecentOffset(const TimeSeries& series, size_t idx, size_t period,
   return series[idx] - periodic_mean;
 }
 
+// Eq. 8 for the predicted index p: the periodic lags, then the recent
+// offsets dy(t - j) for j = 1..m as returned by `offset(j)`. Both
+// prediction paths sum in this one order, so they agree bit for bit.
+template <typename OffsetFn>
+double SparSum(const std::vector<double>& coef, const TimeSeries& history,
+               size_t p, size_t period, size_t n, size_t m,
+               OffsetFn offset) {
+  double prediction = 0.0;
+  for (size_t k = 1; k <= n; ++k) {
+    prediction += coef[k - 1] * history[p - k * period];
+  }
+  for (size_t j = 1; j <= m; ++j) {
+    prediction += coef[n + j - 1] * offset(j);
+  }
+  return prediction;
+}
+
+Status TauOutOfRange(size_t tau, size_t max_tau) {
+  return Status::OutOfRange("SPAR: tau " + std::to_string(tau) +
+                            " outside fitted range [1, " +
+                            std::to_string(max_tau) + "]");
+}
+
+// The periodic lags p - k*period must be observed, i.e. <= t. Since
+// tau <= max_tau <= period is not guaranteed, the predictors check it.
+bool PeriodicLagsObserved(size_t t, size_t p, size_t period, size_t n) {
+  return p >= n * period && p - period <= t;
+}
+
+Status UnobservedLag() {
+  return Status::InvalidArgument(
+      "SPAR: tau exceeds one period; periodic lag unobserved");
+}
+
 }  // namespace
 
 SparPredictor::SparPredictor(const SparOptions& options) : options_(options) {
@@ -108,15 +142,12 @@ StatusOr<double> SparPredictor::PredictAhead(const TimeSeries& history,
                                              size_t tau) const {
   if (!fitted_) return Status::FailedPrecondition("SPAR: not fitted");
   if (tau < 1 || tau > options_.max_tau) {
-    return Status::OutOfRange("SPAR: tau " + std::to_string(tau) +
-                              " outside fitted range [1, " +
-                              std::to_string(options_.max_tau) + "]");
+    return TauOutOfRange(tau, options_.max_tau);
   }
   if (history.size() < MinHistory()) {
     return Status::InvalidArgument("SPAR: history too short");
   }
   const size_t n = options_.num_periods;
-  const size_t m = options_.num_recent;
   const size_t period = options_.period;
   const std::vector<double>& coef = coefficients_[FittedTauFor(tau) - 1];
   PSTORE_CHECK(!coef.empty());
@@ -124,20 +155,43 @@ StatusOr<double> SparPredictor::PredictAhead(const TimeSeries& history,
   // "Now" is the last observed index; the predicted index is t + tau.
   const size_t t = history.size() - 1;
   const size_t p = t + tau;
-  // The periodic lags p - k*period must be observed, i.e. <= t. Since
-  // tau <= max_tau <= period is not guaranteed, check explicitly.
-  if (p < n * period || p - period > t) {
-    return Status::InvalidArgument(
-        "SPAR: tau exceeds one period; periodic lag unobserved");
+  if (!PeriodicLagsObserved(t, p, period, n)) return UnobservedLag();
+  return SparSum(coef, history, p, period, n, options_.num_recent,
+                 [&](size_t j) {
+                   return RecentOffset(history, t - j, period, n);
+                 });
+}
+
+StatusOr<std::vector<double>> SparPredictor::PredictHorizon(
+    const TimeSeries& history, size_t horizon) const {
+  // The same checks, in the same order, as looping PredictAhead over
+  // tau = 1..horizon; tau = 1 is always inside the fitted range.
+  std::vector<double> out;
+  if (horizon == 0) return out;
+  if (!fitted_) return Status::FailedPrecondition("SPAR: not fitted");
+  if (history.size() < MinHistory()) {
+    return Status::InvalidArgument("SPAR: history too short");
   }
-  double prediction = 0.0;
-  for (size_t k = 1; k <= n; ++k) {
-    prediction += coef[k - 1] * history[p - k * period];
-  }
+  const size_t n = options_.num_periods;
+  const size_t m = options_.num_recent;
+  const size_t period = options_.period;
+  const size_t t = history.size() - 1;
+  // dy(t - j) does not depend on tau: compute it once for the horizon.
+  std::vector<double> offsets(m);
   for (size_t j = 1; j <= m; ++j) {
-    prediction += coef[n + j - 1] * RecentOffset(history, t - j, period, n);
+    offsets[j - 1] = RecentOffset(history, t - j, period, n);
   }
-  return prediction;
+  out.reserve(horizon);
+  for (size_t tau = 1; tau <= horizon; ++tau) {
+    if (tau > options_.max_tau) return TauOutOfRange(tau, options_.max_tau);
+    const std::vector<double>& coef = coefficients_[FittedTauFor(tau) - 1];
+    PSTORE_CHECK(!coef.empty());
+    const size_t p = t + tau;
+    if (!PeriodicLagsObserved(t, p, period, n)) return UnobservedLag();
+    out.push_back(SparSum(coef, history, p, period, n, m,
+                          [&](size_t j) { return offsets[j - 1]; }));
+  }
+  return out;
 }
 
 Status SparPredictor::SaveToFile(const std::string& path) const {

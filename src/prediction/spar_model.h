@@ -51,6 +51,10 @@ class SparPredictor : public LoadPredictor {
   Status Fit(const TimeSeries& training) override;
   StatusOr<double> PredictAhead(const TimeSeries& history,
                                 size_t tau) const override;
+  // Equal, value and Status, to the base class's PredictAhead loop; the
+  // recent offsets dy(t - j) are computed once instead of once per tau.
+  StatusOr<std::vector<double>> PredictHorizon(const TimeSeries& history,
+                                               size_t horizon) const override;
   std::string name() const override { return "SPAR"; }
 
   // Minimum history length required to form one prediction.

@@ -201,6 +201,9 @@ StatusOr<SimResult> CapacitySimulator::RunPredictive(
   Run run(options_, fine_trace, tracer_);
   const int factor = options_.plan_slot_factor;
   int scale_in_votes = 0;
+  // What the predictor sees: the coarse prefix [0, coarse_now], grown
+  // in place rather than copied each cycle.
+  TimeSeries history(coarse.slot_seconds());
 
   auto decide = [&](size_t t) {
     if (t % static_cast<size_t>(factor) != 0) return;  // plan boundaries
@@ -228,8 +231,11 @@ StatusOr<SimResult> CapacitySimulator::RunPredictive(
       planner.set_move_table(move_table_.get());
     }
 
-    // Forecast the horizon at planning granularity.
-    const TimeSeries history = coarse.Slice(0, coarse_now + 1);
+    // Forecast the horizon at planning granularity. A loop, not one
+    // append: cycles skipped while a move was in flight added nothing.
+    while (history.size() <= coarse_now) {
+      history.Append(coarse[history.size()]);
+    }
     obs::WallTimer forecast_timer;
     StatusOr<std::vector<double>> forecast = predictor.PredictHorizon(
         history, static_cast<size_t>(options_.horizon_plan_slots));

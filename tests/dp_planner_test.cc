@@ -49,9 +49,11 @@ void CheckPlanFeasible(const PlanResult& plan,
     for (int i = 1; i <= duration; ++i) {
       const double fraction =
           static_cast<double>(i) / static_cast<double>(duration);
-      const double cap = EffectiveCapacity(move.nodes_before,
-                                           move.nodes_after, fraction,
-                                           params);
+      const double cap =
+          params.assume_instant_capacity
+              ? Capacity(move.nodes_after, params)
+              : EffectiveCapacity(move.nodes_before, move.nodes_after,
+                                  fraction, params);
       EXPECT_LE(load[static_cast<size_t>(move.start_slot.value() + i)],
                 cap + 1e-9)
           << "slot " << move.start_slot + i << " during move "
@@ -193,6 +195,9 @@ struct BruteForceCase {
   double base_load;
   double swing;
   int initial_nodes;
+  // Plan as if new machines served at full capacity at once (the
+  // naive-planner ablation) instead of by Eq. 7.
+  bool instant_capacity = false;
 };
 
 class DpVersusBruteForce : public ::testing::TestWithParam<BruteForceCase> {};
@@ -201,6 +206,7 @@ TEST_P(DpVersusBruteForce, SameFinalNodesAndCost) {
   const BruteForceCase& test_case = GetParam();
   PlannerParams params = FastParams();
   params.d_slots = 3.0;
+  params.assume_instant_capacity = test_case.instant_capacity;
   Rng rng(test_case.seed);
   std::vector<double> load;
   for (int t = 0; t <= test_case.horizon; ++t) {
@@ -233,6 +239,21 @@ INSTANTIATE_TEST_SUITE_P(
                       BruteForceCase{10, 8, 100, 180, 3},
                       BruteForceCase{11, 6, 250, 140, 3},
                       BruteForceCase{12, 7, 70, 220, 1}));
+
+// The same comparison with assume_instant_capacity: both planners then
+// test each step of a move against Capacity(after) instead of Eq. 7.
+// On every instance below the flag changes the optimum or makes an
+// Eq. 7-infeasible load plannable, so a planner ignoring it disagrees.
+INSTANTIATE_TEST_SUITE_P(
+    InstantCapacity, DpVersusBruteForce,
+    ::testing::Values(BruteForceCase{1, 6, 60, 300, 3, true},
+                      BruteForceCase{2, 6, 40, 200, 1, true},
+                      BruteForceCase{3, 6, 60, 150, 3, true},
+                      BruteForceCase{13, 6, 40, 150, 2, true},
+                      BruteForceCase{16, 8, 40, 150, 4, true},
+                      BruteForceCase{27, 7, 40, 150, 1, true},
+                      BruteForceCase{35, 7, 40, 150, 3, true},
+                      BruteForceCase{37, 6, 60, 150, 1, true}));
 
 // The planner must also agree with brute force on ramps that force
 // multi-step scale-outs.

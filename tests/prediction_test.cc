@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -154,6 +155,71 @@ TEST(SparTest, CoefficientsExposedPerTau) {
   const std::vector<double>& c3 = spar.CoefficientsFor(3);
   EXPECT_EQ(c1.size(), 3u + 6u);
   EXPECT_EQ(c3.size(), 3u + 6u);
+}
+
+// SPAR's PredictHorizon computes the recent offsets once per call. It
+// must return exactly what the base class's PredictAhead loop returns:
+// the same doubles, or the same Status code and message.
+void ExpectHorizonMatchesLoop(const SparPredictor& spar,
+                              const TimeSeries& history, size_t horizon) {
+  SCOPED_TRACE("history " + std::to_string(history.size()) + ", horizon " +
+               std::to_string(horizon));
+  const StatusOr<std::vector<double>> fast =
+      spar.PredictHorizon(history, horizon);
+  const StatusOr<std::vector<double>> loop =
+      spar.LoadPredictor::PredictHorizon(history, horizon);
+  EXPECT_EQ(fast.status().code(), loop.status().code());
+  EXPECT_EQ(fast.status().message(), loop.status().message());
+  if (!fast.ok() || !loop.ok()) return;
+  ASSERT_EQ(fast->size(), loop->size());
+  for (size_t i = 0; i < fast->size(); ++i) {
+    EXPECT_EQ((*fast)[i], (*loop)[i]) << "tau " << i + 1;
+  }
+}
+
+TEST(SparTest, PredictHorizonMatchesPredictAheadLoop) {
+  const TimeSeries series = PeriodicSeries(12, 0.05, 7);
+  for (const size_t stride : {size_t{1}, size_t{5}}) {
+    SCOPED_TRACE("tau_stride " + std::to_string(stride));
+    SparOptions options = SmallSpar(12);
+    options.tau_stride = stride;
+    SparPredictor spar(options);
+    // Unfitted: FailedPrecondition, except that horizon 0 is empty OK.
+    ExpectHorizonMatchesLoop(spar, series, 0);
+    ExpectHorizonMatchesLoop(spar, series, 1);
+    ASSERT_TRUE(spar.Fit(series.Slice(0, 10 * 48)).ok());
+    for (const size_t end : {spar.MinHistory(), size_t{10 * 48 + 5},
+                             series.size()}) {
+      const TimeSeries history = series.Slice(0, end);
+      for (const size_t horizon : {size_t{0}, size_t{1}, size_t{7},
+                                   size_t{12}, size_t{13}}) {
+        ExpectHorizonMatchesLoop(spar, history, horizon);
+      }
+    }
+    // One slot too short for the deepest lag: InvalidArgument.
+    ExpectHorizonMatchesLoop(
+        spar, series.Slice(0, spar.MinHistory() - 1), 12);
+  }
+}
+
+TEST(SparTest, PredictHorizonMatchesLoopPastOnePeriod) {
+  // max_tau above the period: tau = period + 1 has an unobserved
+  // periodic lag, which both paths report as InvalidArgument.
+  SparOptions options;
+  options.period = 8;
+  options.num_periods = 3;
+  options.num_recent = 4;
+  options.max_tau = 12;
+  SparPredictor spar(options);
+  const TimeSeries series = PeriodicSeries(20, 0.05, 3, 8);
+  ASSERT_TRUE(spar.Fit(series).ok());
+  for (const size_t horizon : {size_t{8}, size_t{9}, size_t{12},
+                               size_t{13}}) {
+    ExpectHorizonMatchesLoop(spar, series, horizon);
+  }
+  const StatusOr<std::vector<double>> past =
+      spar.PredictHorizon(series, 9);
+  EXPECT_EQ(past.status().code(), StatusCode::kInvalidArgument);
 }
 
 // ---- AR ---------------------------------------------------------------------

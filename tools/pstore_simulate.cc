@@ -32,8 +32,12 @@
 //   pstore_simulate --trace=trace.csv --seed=7 --crash-rate=0.1
 //       [--mean-outage-minutes=30] [--straggler-rate=0.2]
 //       [--fault-nodes=10]
-// Rates must be finite and >= 0 and the mean outage > 0. Unknown flags
-// are rejected with "error: --<flag>: unknown flag".
+// Rates must be finite and >= 0 and the mean outage > 0. --q,
+// --d-minutes, --inflation and --watermark must be finite and > 0,
+// --qhat at least --q, --partitions, --day-nodes and --night-nodes at
+// least 1, and --train-days at least 0; each violation exits with
+// "error: --<flag>: ...". Unknown flags are rejected with
+// "error: --<flag>: unknown flag".
 //
 // Machine-readable outputs:
 //   --trace-out=run.jsonl   structured event trace with sweep telemetry
@@ -45,6 +49,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -155,6 +160,27 @@ int main(int argc, char** argv) {
   if (!(std::isfinite(*mean_outage) && *mean_outage > 0.0)) {
     return Fail("--mean-outage-minutes: must be finite and > 0");
   }
+  // Knobs the simulator would otherwise CHECK-abort on, or run with
+  // silently: a zero or NaN inflation clamps every forecast to 0, and a
+  // NaN watermark never fires.
+  for (const auto& [name, value] :
+       {std::pair<const char*, double>{"q", *q}, {"d-minutes", *d_minutes},
+        {"inflation", *inflation}, {"watermark", *watermark}}) {
+    if (!(std::isfinite(value) && value > 0.0)) {
+      return Fail(std::string("--") + name + ": must be finite and > 0");
+    }
+  }
+  if (!(std::isfinite(*qhat) && *qhat >= *q)) {
+    return Fail("--qhat: must be finite and >= --q");
+  }
+  for (const auto& [name, value] :
+       {std::pair<const char*, int64_t>{"partitions", *partitions},
+        {"day-nodes", *day_nodes}, {"night-nodes", *night_nodes}}) {
+    if (value < 1 || value > std::numeric_limits<int>::max()) {
+      return Fail(std::string("--") + name + ": must be >= 1 and fit an int");
+    }
+  }
+  if (*train_days < 0) return Fail("--train-days: must be >= 0");
 
   if (trace_path.empty()) return Fail("--trace=<csv> is required");
   StatusOr<TimeSeries> trace = LoadTraceCsv(trace_path);
@@ -172,7 +198,11 @@ int main(int argc, char** argv) {
   options.inflation = *inflation;
   options.initial_nodes = 4;
   options.max_nodes = 80;
-  options.eval_begin = *train_days * slots_per_day;
+  // Bounded by the trace before the multiply, so it cannot wrap.
+  if (static_cast<uint64_t>(*train_days) >= trace->size()) {
+    return Fail("trace too short for --train-days plus one day");
+  }
+  options.eval_begin = static_cast<size_t>(*train_days) * slots_per_day;
   if (options.eval_begin + slots_per_day >= trace->size()) {
     return Fail("trace too short for --train-days plus one day");
   }
