@@ -113,7 +113,7 @@ void BM_FleetPack(benchmark::State& state) {
   params.target_rate_per_node = 285.0;
   params.max_rate_per_node = 350.0;
   const MoveModelTable table(params, NodeCount(256));
-  const fleet::PlacementPlanner planner(fleet::PlacementOptions{}, &table);
+  const fleet::PlacementPlanner planner(fleet::PlacementOptions{}, table);
   StatusOr<fleet::Placement> previous =
       planner.Pack(demand, partitions, nullptr);
   if (!previous.ok()) {

@@ -9,6 +9,8 @@
 #include <cstdlib>
 
 #include "common/logging.h"
+#include "common/status.h"
+#include "common/time_series.h"
 #include "prediction/naive_models.h"
 #include "prediction/spar_model.h"
 #include "sim/capacity_simulator.h"

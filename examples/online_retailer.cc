@@ -12,7 +12,15 @@
 #include "b2w/procedures.h"
 #include "b2w/workload.h"
 #include "common/logging.h"
+#include "common/rng.h"
+#include "common/sim_time.h"
+#include "common/time_series.h"
 #include "controller/predictive_controller.h"
+#include "engine/cluster.h"
+#include "engine/event_loop.h"
+#include "engine/metrics.h"
+#include "engine/transaction.h"
+#include "engine/txn_executor.h"
 #include "engine/workload_driver.h"
 #include "migration/squall_migrator.h"
 #include "prediction/online_predictor.h"

@@ -14,8 +14,13 @@
 #include <cstdio>
 #include <vector>
 
+#include "common/status.h"
+#include "common/strong_id.h"
+#include "common/time_series.h"
 #include "planner/dp_planner.h"
 #include "planner/migration_schedule.h"
+#include "planner/move.h"
+#include "planner/move_model.h"
 #include "prediction/spar_model.h"
 #include "trace/b2w_trace_generator.h"
 

@@ -18,6 +18,7 @@
 #include "analysis/source_file.h"
 #include "analysis/status_check.h"
 #include "analysis/symbol_graph.h"
+#include "analysis/test_only_check.h"
 #include "analysis/token_cache.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
@@ -36,6 +37,7 @@ Analyzer::Analyzer() {
   checks_.push_back(std::make_unique<LockOrderCheck>());
   checks_.push_back(std::make_unique<DeadSymbolCheck>());
   checks_.push_back(std::make_unique<HotPathPerfCheck>());
+  checks_.push_back(std::make_unique<TestOnlyCheck>());
 }
 
 std::vector<std::string> Analyzer::RuleNames() const {

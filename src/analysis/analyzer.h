@@ -19,8 +19,9 @@ namespace analysis {
 // `// pstore-analyze: allow(<rule>)` suppressions. Constructed with the
 // default rule set: layering, status, include, nondet-iteration,
 // global-mutable-state, pointer-order, guarded-by, lock-order,
-// dead-symbol, hot-path-perf. The last three consume the cross-TU
-// SymbolGraph, which Run builds once iff such a rule is selected.
+// dead-symbol, hot-path-perf, test-only. lock-order, dead-symbol and
+// hot-path-perf consume the cross-TU SymbolGraph, which Run builds once
+// iff such a rule is selected.
 class Analyzer {
  public:
   Analyzer();

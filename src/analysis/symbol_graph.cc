@@ -29,6 +29,16 @@ bool IsClassKeyword(const std::string& text) {
   return text == "class" || text == "struct";
 }
 
+// Index of the name after the class keyword at `i`, past any attributes
+// (`class [[nodiscard]] Status`).
+size_t ClassNameAt(const std::vector<Token>& tokens, size_t i) {
+  size_t at = i + 1;
+  while (IsPunctAt(tokens, at, "[") && IsPunctAt(tokens, at + 1, "[")) {
+    at = SkipBalancedRun(tokens, at);
+  }
+  return at;
+}
+
 // One function definition or declaration as written in one file.
 struct RawSite {
   std::string qualified_name;
@@ -397,13 +407,14 @@ void ScanFile(const SourceFile& file, const std::vector<Token>& tokens,
       i = j;
       continue;
     }
-    if (IsClassKeyword(word) && IsIdentAt(tokens, i + 1)) {
-      const std::string& class_name = tokens[i + 1].text;
+    const size_t name_at = ClassNameAt(tokens, i);
+    if (IsClassKeyword(word) && IsIdentAt(tokens, name_at)) {
+      const std::string& class_name = tokens[name_at].text;
       // Find the body brace; forward declarations, parameters, and
       // template arguments never reach one. Template arguments in a
       // base-clause (`: public Base<T>`) are skipped.
       size_t open = 0;
-      for (size_t j = i + 2; j < n; ++j) {
+      for (size_t j = name_at + 1; j < n; ++j) {
         if (tokens[j].kind == TokenKind::kIdentifier) continue;
         if (tokens[j].kind != TokenKind::kPunct) break;
         const std::string& t = tokens[j].text;
@@ -430,7 +441,7 @@ void ScanFile(const SourceFile& file, const std::vector<Token>& tokens,
         i = open + 1;
         continue;
       }
-      i += 2;
+      i = name_at + 1;
       continue;
     }
     ++i;

@@ -78,26 +78,6 @@ double Rng::NextExponential(double mean) {
   return -mean * std::log(u);
 }
 
-int64_t Rng::NextPoisson(double mean) {
-  PSTORE_CHECK(mean >= 0.0);
-  if (mean == 0.0) return 0;
-  if (mean < 30.0) {
-    // Knuth inversion.
-    const double limit = std::exp(-mean);
-    double product = NextDouble();
-    int64_t count = 0;
-    while (product > limit) {
-      product *= NextDouble();
-      ++count;
-    }
-    return count;
-  }
-  // Normal approximation with continuity correction; adequate for the
-  // large per-slot arrival counts used by trace generators.
-  const double value = mean + std::sqrt(mean) * NextGaussian() + 0.5;
-  return value < 0.0 ? 0 : static_cast<int64_t>(value);
-}
-
 bool Rng::NextBool(double p) { return NextDouble() < p; }
 
 }  // namespace pstore

@@ -30,10 +30,6 @@ class Rng {
   // Exponential with the given mean. Requires mean > 0.
   double NextExponential(double mean);
 
-  // Poisson-distributed count with the given mean. Uses inversion for
-  // small means and a normal approximation for large ones.
-  int64_t NextPoisson(double mean);
-
   // Bernoulli trial with probability p of returning true.
   bool NextBool(double p);
 

@@ -65,23 +65,6 @@ double TimeSeries::StdDev() const {
   return std::sqrt(sq / static_cast<double>(values_.size()));
 }
 
-StatusOr<double> MeanRelativeError(const std::vector<double>& actual,
-                                   const std::vector<double>& predicted,
-                                   double min_actual) {
-  if (actual.size() != predicted.size()) {
-    return Status::InvalidArgument("series lengths differ");
-  }
-  double sum = 0.0;
-  size_t used = 0;
-  for (size_t i = 0; i < actual.size(); ++i) {
-    if (std::abs(actual[i]) < min_actual) continue;
-    sum += std::abs(predicted[i] - actual[i]) / std::abs(actual[i]);
-    ++used;
-  }
-  if (used == 0) return Status::InvalidArgument("no usable samples");
-  return sum / static_cast<double>(used);
-}
-
 StatusOr<double> MeanAbsoluteError(const std::vector<double>& actual,
                                    const std::vector<double>& predicted) {
   if (actual.size() != predicted.size() || actual.empty()) {

@@ -53,13 +53,6 @@ class TimeSeries {
   std::vector<double> values_;
 };
 
-// Mean relative error of predictions vs. actuals, skipping slots where the
-// actual value is below `min_actual` (to avoid division blow-ups on near-
-// zero load). The two series must have equal length.
-StatusOr<double> MeanRelativeError(const std::vector<double>& actual,
-                                   const std::vector<double>& predicted,
-                                   double min_actual = 1e-9);
-
 // Mean absolute error. The two series must have equal length and be
 // non-empty.
 StatusOr<double> MeanAbsoluteError(const std::vector<double>& actual,

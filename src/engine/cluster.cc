@@ -81,12 +81,6 @@ void Cluster::MoveBucket(BucketId bucket, int partition_id) {
   bucket_map_[bucket] = partition_id;
 }
 
-void Cluster::AssignBucketsEvenly() {
-  for (int b = 0; b < options_.num_buckets; ++b) {
-    MoveBucket(b, b % total_active_partitions());
-  }
-}
-
 std::vector<BucketId> Cluster::BucketsOnPartition(int partition_id) const {
   std::vector<BucketId> out;
   out.reserve(static_cast<size_t>(options_.num_buckets) /

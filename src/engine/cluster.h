@@ -94,10 +94,6 @@ class Cluster {
   // its rows there. No-op if already there.
   void MoveBucket(BucketId bucket, int partition_id);
 
-  // Spreads all buckets evenly across the active partitions
-  // (round-robin), physically moving rows. Used for initial placement.
-  void AssignBucketsEvenly();
-
   std::vector<BucketId> BucketsOnPartition(int partition_id) const;
   std::vector<BucketId> BucketsOnNode(int node) const;
 

@@ -45,7 +45,7 @@ bool IsSpike(const FleetControllerOptions& options, double observed,
 
 FleetController::FleetController(const FleetControllerOptions& options,
                                  std::vector<int> tenant_partitions,
-                                 const MoveModelTable* move_table,
+                                 const MoveModelTable& move_table,
                                  obs::Tracer* tracer)
     : options_(options),
       tenant_partitions_(std::move(tenant_partitions)),

@@ -80,10 +80,10 @@ struct FleetCycleDecision {
 class FleetController {
  public:
   // `tenant_partitions[t]` is tenant t's placement-unit count (>= 1).
-  // `move_table` and `tracer` are borrowed and may be null.
+  // `move_table` and `tracer` are borrowed; `tracer` may be null.
   FleetController(const FleetControllerOptions& options,
                   std::vector<int> tenant_partitions,
-                  const MoveModelTable* move_table, obs::Tracer* tracer);
+                  const MoveModelTable& move_table, obs::Tracer* tracer);
 
   // Feeds pre-horizon history into the forecasters without planning:
   // history[t][s] is tenant t's demand in warmup cycle s. All tenants

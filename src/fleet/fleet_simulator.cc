@@ -32,16 +32,16 @@ void AppendDouble(std::string* out, double value) {
   out->append(buf);
 }
 
+// Grid of the move-model table each run builds. Pool sizes beyond it
+// are priced by the table's fallback, so the grid size changes speed,
+// never a decision.
+constexpr int kMoveTableMaxNodes = 256;
+
 // Machine-slot cost of resizing a dedicated cluster or the shared pool
-// from `before` to `after` machines: the precomputed grid when it
-// covers the sizes, the exact move-model functions beyond it.
-double ResizeCost(const MoveModelTable& table, const PlannerParams& params,
-                  int before, int after) {
+// from `before` to `after` machines.
+double ResizeCost(const MoveModelTable& table, int before, int after) {
   if (before == after || before <= 0) return 0.0;
-  const NodeCount b(before);
-  const NodeCount a(after);
-  if (table.Covers(b, a)) return table.MoveCost(b, a);
-  return MoveCost(b, a, params);
+  return table.MoveCost(NodeCount(before), NodeCount(after));
 }
 
 // Coarse demand of provisioning cycle `c`: the mean of its `kk` fine
@@ -241,12 +241,12 @@ StatusOr<FleetResult> FleetSimulator::RunFleet(ThreadPool* pool) {
     }
   }
 
-  MoveModelTable table(options_.planner, NodeCount(options_.table_max_nodes));
+  MoveModelTable table(options_.planner, NodeCount(kMoveTableMaxNodes));
   std::vector<int> partitions(tenants_.size());
   for (size_t t = 0; t < tenants_.size(); ++t) {
     partitions[t] = tenants_[t].partitions;
   }
-  FleetController controller(options_.controller, partitions, &table,
+  FleetController controller(options_.controller, partitions, table,
                              tracer_);
 
   std::vector<std::vector<double>> warmup(tenants_.size());
@@ -286,8 +286,8 @@ StatusOr<FleetResult> FleetSimulator::RunFleet(ThreadPool* pool) {
         static_cast<double>(decision->machines) * static_cast<double>(kk);
     // Moving costs: pool resize (Eq. 4 economics) plus the migration
     // work of every partition that changed machines this cycle.
-    result.move_machine_slots += ResizeCost(
-        table, options_.planner, machines_before, decision->machines);
+    result.move_machine_slots +=
+        ResizeCost(table, machines_before, decision->machines);
     result.move_machine_slots +=
         options_.controller.placement.partition_move_cost *
         static_cast<double>(decision->moved_partitions);
@@ -372,7 +372,7 @@ StatusOr<FleetResult> FleetSimulator::RunDedicated(ThreadPool* pool) {
       std::min(options_.eval_begin / kk, cycles - 1);
   const double q = options_.controller.placement.machine_capacity;
 
-  MoveModelTable table(options_.planner, NodeCount(options_.table_max_nodes));
+  MoveModelTable table(options_.planner, NodeCount(kMoveTableMaxNodes));
 
   // Every tenant provisions alone; each index writes only its own rows,
   // so the fan-out is deterministic for any thread count.
@@ -414,8 +414,7 @@ StatusOr<FleetResult> FleetSimulator::RunDedicated(ThreadPool* pool) {
       if (nodes == 0) {
         nodes = target;  // initial allocation, like the pool's first pack
       } else if (target > nodes) {
-        tenant_move_slots[t] +=
-            ResizeCost(table, options_.planner, nodes, target);
+        tenant_move_slots[t] += ResizeCost(table, nodes, target);
         nodes = target;
         ++per_tenant[t].moves;
         low_cycles = 0;
@@ -423,8 +422,7 @@ StatusOr<FleetResult> FleetSimulator::RunDedicated(ThreadPool* pool) {
         // Scale in only after the lower need persisted (hysteresis, as
         // in the per-tenant simulator).
         if (++low_cycles >= options_.scale_in_confirm_cycles) {
-          tenant_move_slots[t] +=
-              ResizeCost(table, options_.planner, nodes, target);
+          tenant_move_slots[t] += ResizeCost(table, nodes, target);
           nodes = target;
           ++per_tenant[t].moves;
           low_cycles = 0;

@@ -49,9 +49,6 @@ struct FleetOptions {
   // Move-model parameters for resize-cost accounting and the packer's
   // repack economics (the table is built once per Run).
   PlannerParams planner;
-  // Grid size of that table; pool sizes beyond it fall back to the
-  // direct move-model functions.
-  int table_max_nodes = 256;
   // Dedicated baseline: cycles a lower target must persist before the
   // tenant scales in. The rule is not CapacitySimulator's: a dedicated
   // tenant has no DP plan, only a one-cycle-ahead forecast, so it

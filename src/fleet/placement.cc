@@ -226,8 +226,8 @@ double EffectiveServeCapacity(const PlacementOptions& options,
 }
 
 PlacementPlanner::PlacementPlanner(const PlacementOptions& options,
-                                   const MoveModelTable* move_table)
-    : options_(options), move_table_(move_table) {}
+                                   const MoveModelTable& move_table)
+    : options_(options), move_table_(&move_table) {}
 
 StatusOr<Placement> PlacementPlanner::PackFresh(
     const std::vector<double>& item_demand,
@@ -322,14 +322,8 @@ StatusOr<Placement> PlacementPlanner::PackIncremental(
     if (!fresh.ok()) return sticky;  // fresh pack can only need more; keep
     const int saved = sticky.machines_used - fresh->machines_used;
     if (saved > 0) {
-      double resize_cost = 0.0;
-      if (move_table_ != nullptr &&
-          move_table_->Covers(NodeCount(sticky.machines_used),
-                              NodeCount(fresh->machines_used))) {
-        resize_cost = move_table_->MoveCost(
-            NodeCount(sticky.machines_used),
-            NodeCount(fresh->machines_used));
-      }
+      const double resize_cost = move_table_->MoveCost(
+          NodeCount(sticky.machines_used), NodeCount(fresh->machines_used));
       // Moves against the *previous* placement, not sticky: the churn a
       // repack is charged for is what it moves beyond the evictions the
       // sticky pack had to do anyway.

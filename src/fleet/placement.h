@@ -99,10 +99,9 @@ struct Placement {
 // same T/C economics the per-tenant planner uses, applied to the pool.
 class PlacementPlanner {
  public:
-  // `move_table` is borrowed, may be null (repacks then need to save
-  // only one machine), and must outlive the planner.
+  // `move_table` is borrowed and must outlive the planner.
   PlacementPlanner(const PlacementOptions& options,
-                   const MoveModelTable* move_table);
+                   const MoveModelTable& move_table);
 
   // Packs tenant partitions given per-tenant demand (demand splits
   // evenly across a tenant's partitions). `tenant_partitions[t]` must

@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "common/csv_writer.h"
 #include "common/status.h"
 #include "obs/trace_event.h"
 
@@ -80,29 +79,6 @@ Status MetricsRegistry::WriteJson(const std::string& path) const {
     return Status::Internal("metrics write to '" + path + "' failed");
   }
   return Status::OK();
-}
-
-Status MetricsRegistry::WriteCsv(const std::string& path) const {
-  CsvWriter csv(path);
-  csv.WriteRow({"name", "type", "value"});
-  char buf[64];
-  auto format_int = [&buf](int64_t value) {
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(value));
-    return std::string(buf);
-  };
-  for (const auto& [name, counter] : counters_) {
-    csv.WriteRow({name, "counter", format_int(counter.value())});
-  }
-  for (const auto& [name, gauge] : gauges_) {
-    std::snprintf(buf, sizeof(buf), "%.10g", gauge.value());
-    csv.WriteRow({name, "gauge", std::string(buf)});
-  }
-  for (const auto& [name, timer] : timers_) {
-    csv.WriteRow({name + ".count", "timer", format_int(timer.count())});
-    csv.WriteRow({name + ".total_us", "timer", format_int(timer.total_us())});
-    csv.WriteRow({name + ".max_us", "timer", format_int(timer.max_us())});
-  }
-  return csv.Close();
 }
 
 }  // namespace obs

@@ -70,10 +70,6 @@ class MetricsRegistry {
   // Writes ToJson() to `path`.
   Status WriteJson(const std::string& path) const;
 
-  // Writes rows of name,type,value; timers expand to three rows
-  // (<name>.count, <name>.total_us, <name>.max_us).
-  Status WriteCsv(const std::string& path) const;
-
  private:
   std::map<std::string, Counter> counters_;
   std::map<std::string, Gauge> gauges_;

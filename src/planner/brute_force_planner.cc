@@ -7,7 +7,6 @@
 #include "common/check.h"
 #include "common/status.h"
 #include "common/strong_id.h"
-#include "common/thread_pool.h"
 #include "planner/dp_planner.h"
 #include "planner/move.h"
 #include "planner/move_model.h"
@@ -76,8 +75,8 @@ void Search(SearchState* state, int t, int nodes, double cost_so_far) {
     move.end_slot = TimeStep(end);
     move.nodes_before = NodeCount(nodes);
     move.nodes_after = NodeCount(next);
-    // DFS stack: capacity is reserved once per candidate in BestMoves
-    // and reused across the whole recursion.
+    // DFS stack: capacity is reserved once in BestMoves and reused
+    // across the whole recursion.
     state->current.push_back(move);  // pstore-analyze: allow(hot-path-perf)
     Search(state, end, next, cost_so_far + move_cost);
     state->current.pop_back();
@@ -107,67 +106,24 @@ StatusOr<PlanResult> BruteForcePlanner::BestMoves(
     return Status::Infeasible("initial capacity below current load");
   }
 
-  // One independent subtree per first-move candidate (the serial
-  // search's top-level loop), collected by candidate index. Each
-  // candidate owns its SearchState; the shared DpPlanner rules are
-  // read-only, so the bodies are isolated and safe to run in parallel.
-  const int n0 = initial_nodes.value();
-  const double base_cost = static_cast<double>(n0);
-  std::vector<SearchState> candidates(static_cast<size_t>(z));
-  const auto eval_candidate = [&](size_t c) {
-    const int next = static_cast<int>(c) + 1;
-    SearchState& state = candidates[c];
-    state.load = &predicted_load;
-    state.horizon = horizon;
-    state.z = z;
-    state.rules = &rules;
-    const int duration = rules.MoveSlots(NodeCount(n0), NodeCount(next));
-    const int end = duration;
-    if (end > horizon) return;
-    if (!MoveFeasible(state, 0, end, n0, next)) return;
-    const double move_cost =
-        rules.MoveCostCharged(NodeCount(n0), NodeCount(next));
-    Move move;
-    move.start_slot = TimeStep(0);
-    move.end_slot = TimeStep(end);
-    move.nodes_before = NodeCount(n0);
-    move.nodes_after = NodeCount(next);
-    // Every move advances time by at least one slot, so the DFS stack
-    // never exceeds the horizon.
-    state.current.reserve(static_cast<size_t>(horizon));
-    state.current.push_back(move);
-    Search(&state, end, next, base_cost + move_cost);
-  };
-  if (pool_ != nullptr) {
-    pool_->ParallelFor(static_cast<size_t>(z), eval_candidate);
-  } else {
-    for (size_t c = 0; c < static_cast<size_t>(z); ++c) eval_candidate(c);
-  }
+  SearchState state;
+  state.load = &predicted_load;
+  state.horizon = horizon;
+  state.z = z;
+  state.rules = &rules;
+  // Every move advances time by at least one slot, so the DFS stack
+  // never exceeds the horizon.
+  state.current.reserve(static_cast<size_t>(horizon));
+  Search(&state, 0, initial_nodes.value(),
+         static_cast<double>(initial_nodes.value()));
 
-  // Merge in candidate order with the serial search's strictly-better
-  // predicate, so ties resolve to the lowest candidate exactly as the
-  // single-threaded enumeration would.
-  double best_cost = kInfinity;
-  int best_final = std::numeric_limits<int>::max();
-  const std::vector<Move>* best_moves = nullptr;
-  for (const SearchState& state : candidates) {
-    const bool better =
-        state.best_final < best_final ||
-        (state.best_final == best_final && state.best_cost < best_cost);
-    if (better) {
-      best_final = state.best_final;
-      best_cost = state.best_cost;
-      best_moves = &state.best_moves;
-    }
-  }
-
-  if (best_cost == kInfinity) {
+  if (state.best_cost == kInfinity) {
     return Status::Infeasible("no feasible sequence of moves");
   }
   PlanResult result;
-  result.moves = *best_moves;
-  result.total_cost = best_cost;
-  result.final_nodes = NodeCount(best_final);
+  result.moves = state.best_moves;
+  result.total_cost = state.best_cost;
+  result.final_nodes = NodeCount(state.best_final);
   PSTORE_DCHECK_OK(
       PlanValidator(params_).Validate(result, predicted_load, initial_nodes));
   return result;

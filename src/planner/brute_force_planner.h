@@ -5,10 +5,11 @@
 
 #include "common/status.h"
 #include "common/strong_id.h"
-#include "common/thread_pool.h"
 #include "planner/move.h"
 #include "planner/move_model.h"
 
+// Only tests run this planner: it is the independent oracle for DpPlanner.
+// pstore-analyze: allow(test-only)
 namespace pstore {
 
 // Exhaustive reference implementation of the predictive elasticity
@@ -27,17 +28,8 @@ class BruteForcePlanner {
   StatusOr<PlanResult> BestMoves(const std::vector<double>& predicted_load,
                                  NodeCount initial_nodes) const;
 
-  // Optional parallelism: each top-level first-move candidate's subtree
-  // is searched independently (one ParallelFor index per candidate) and
-  // the per-candidate optima are merged in candidate order under the
-  // same strictly-better predicate the serial search applies, so the
-  // chosen plan — ties included — is identical for any thread count.
-  // The pool is caller-owned and must outlive the planner.
-  void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
-
  private:
   PlannerParams params_;
-  ThreadPool* pool_ = nullptr;
 };
 
 }  // namespace pstore

@@ -129,15 +129,15 @@ NodeCount DpPlanner::NodesFor(double load) const {
 
 int DpPlanner::MoveSlots(NodeCount before, NodeCount after) const {
   if (before == after) return 1;  // "do nothing" occupies one slot
-  const bool tabled = move_table_ != nullptr && move_table_->Covers(before, after);
-  const double t = tabled ? move_table_->MoveTime(before, after)
-                          : MoveTime(before, after, params_);
+  const double t = move_table_ != nullptr
+                       ? move_table_->MoveTime(before, after)
+                       : MoveTime(before, after, params_);
   return std::max(1, static_cast<int>(std::ceil(t)));
 }
 
 double DpPlanner::MoveCostCharged(NodeCount before, NodeCount after) const {
   if (before == after) return before.value();
-  const bool tabled = move_table_ != nullptr && move_table_->Covers(before, after);
+  const bool tabled = move_table_ != nullptr;
   const double real_time = tabled ? move_table_->MoveTime(before, after)
                                   : MoveTime(before, after, params_);
   const int slots = MoveSlots(before, after);

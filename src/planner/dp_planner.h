@@ -67,11 +67,10 @@ class DpPlanner {
 
   // Installs a precomputed (caller-owned, outliving the planner) move
   // model table; MoveSlots / MoveCostCharged then look transitions up
-  // instead of recomputing Eqs. 3-4 + Algorithm 4 each time a search
-  // fills its transition tables.
+  // instead of recomputing Eqs. 3-4 each time a search fills its
+  // transition tables.
   // Lookups are bit-identical to direct computation, so plans do not
-  // change. The table must have been built from matching params; pairs
-  // beyond its max_nodes fall back to direct computation.
+  // change. The table must have been built from matching params.
   void set_move_table(const MoveModelTable* table) {
     PSTORE_CHECK(table == nullptr || table->MatchesParams(params_));
     move_table_ = table;

@@ -10,17 +10,19 @@
 
 namespace pstore {
 
-// Precomputed, immutable grids of T(B,A), C(B,A) (Eqs. 3-4) and
-// avg-mach-alloc(B,A) (Algorithm 4) for all 1 <= B, A <= max_nodes.
-// The dynamic program evaluates these inside every transition, and the
-// values depend only on (B, A) plus two PlannerParams fields (d_slots,
-// partitions_per_node) — so a sweep computes the grid once and shares
-// it read-only across planners and threads.
+// Precomputed, immutable grids of T(B,A) and C(B,A) (Eqs. 3-4) for all
+// 1 <= B, A <= max_nodes. The dynamic program evaluates these inside every
+// transition, and the values depend only on (B, A) plus two PlannerParams
+// fields (d_slots, partitions_per_node) — so a sweep computes the grid
+// once and shares it read-only across planners and threads. Pairs beyond
+// the grid are computed on the spot from the same functions, so the grid
+// size changes speed, never an answer.
 //
 // Entries are produced by calling the exact move-model functions, never
 // a re-derivation, so lookups are bit-identical to direct computation;
-// the move-model tests assert this over the full grid. The table is
-// immutable after construction and therefore safe to read concurrently.
+// the move-model tests assert this over the full grid and beyond it. The
+// table is immutable after construction and therefore safe to read
+// concurrently.
 class MoveModelTable {
  public:
   MoveModelTable(const PlannerParams& params, NodeCount max_nodes);
@@ -35,23 +37,24 @@ class MoveModelTable {
   // read only these two fields, so a planner may adopt the table iff
   // they match exactly.
   bool MatchesParams(const PlannerParams& params) const {
-    return params.d_slots == d_slots_ &&
-           params.partitions_per_node == partitions_per_node_;
+    return params.d_slots == params_.d_slots &&
+           params.partitions_per_node == params_.partitions_per_node;
   }
 
-  // Eq. 3, via lookup. Requires Covers(before, after).
+  // Eq. 3: a lookup inside the grid, the move model beyond it.
   double MoveTime(NodeCount before, NodeCount after) const {
+    if (!Covers(before, after)) {
+      return pstore::MoveTime(before, after, params_);
+    }
     return move_time_[Index(before, after)];
   }
 
-  // Eq. 4, via lookup. Requires Covers(before, after).
+  // Eq. 4: a lookup inside the grid, the move model beyond it.
   double MoveCost(NodeCount before, NodeCount after) const {
+    if (!Covers(before, after)) {
+      return pstore::MoveCost(before, after, params_);
+    }
     return move_cost_[Index(before, after)];
-  }
-
-  // Algorithm 4, via lookup. Requires Covers(before, after).
-  double AvgMachinesAllocated(NodeCount before, NodeCount after) const {
-    return avg_machines_[Index(before, after)];
   }
 
   int max_nodes() const { return max_nodes_; }
@@ -65,11 +68,9 @@ class MoveModelTable {
   }
 
   int max_nodes_;
-  double d_slots_;
-  int partitions_per_node_;
+  PlannerParams params_;
   std::vector<double> move_time_;
   std::vector<double> move_cost_;
-  std::vector<double> avg_machines_;
 };
 
 }  // namespace pstore

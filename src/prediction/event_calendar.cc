@@ -1,7 +1,5 @@
 #include "prediction/event_calendar.h"
 
-#include <algorithm>
-
 #include "common/status.h"
 
 namespace pstore {
@@ -33,14 +31,6 @@ void EventCalendar::ApplyToForecast(size_t first_slot,
   for (size_t i = 0; i < forecast->size(); ++i) {
     (*forecast)[i] *= MultiplierAt(first_slot + i);
   }
-}
-
-void EventCalendar::ExpireBefore(size_t slot) {
-  events_.erase(std::remove_if(events_.begin(), events_.end(),
-                               [slot](const PlannedEvent& event) {
-                                 return event.end_slot <= slot;
-                               }),
-                events_.end());
 }
 
 }  // namespace pstore

@@ -39,9 +39,6 @@ class EventCalendar {
   // corresponds to absolute slot `first_slot`.
   void ApplyToForecast(size_t first_slot, std::vector<double>* forecast) const;
 
-  // Drops events that ended before `slot` (housekeeping).
-  void ExpireBefore(size_t slot);
-
   size_t size() const { return events_.size(); }
   const std::vector<PlannedEvent>& events() const { return events_; }
 

@@ -979,6 +979,95 @@ TEST(HotPathPerfTest, HotRootNaming) {
   EXPECT_FALSE(HotPathPerfCheck::IsHotRoot(in_common));
 }
 
+// ------------------------------------------------------------------ test-only
+
+TEST(TestOnlyTest, FlagsHeaderOnlyATestIncludes) {
+  // The checkout sits below a directory named tools/: the innermost
+  // top-level directory decides, so the test is still not a program.
+  const std::string root = "/ci/tools/checkout/";
+  Project project;
+  project.AddFile(Make(root + "src/planner/used.h",
+                       "namespace pstore { int Used(); }\n"));
+  project.AddFile(Make(root + "src/planner/oracle.h",
+                       "#ifndef ORACLE_H_\n"
+                       "#define ORACLE_H_\n"
+                       "\n"
+                       "namespace pstore { int Oracle(); }\n"
+                       "#endif\n"));
+  project.AddFile(Make(root + "tools/plan.cc",
+                       "#include \"planner/used.h\"\n"
+                       "int main() { return pstore::Used(); }\n"));
+  project.AddFile(Make(root + "tests/oracle_test.cc",
+                       "#include \"planner/oracle.h\"\n"
+                       "int main() { return pstore::Oracle(); }\n"));
+  std::vector<Finding> findings = RunRule(project, "test-only");
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_TRUE(HasFinding(findings, "test-only", root + "src/planner/oracle.h",
+                         "no tool, bench, benchmark or example includes "
+                         "'planner/oracle.h'"));
+  EXPECT_EQ(findings[0].line, 4);  // first line of code, past the guard
+}
+
+TEST(TestOnlyTest, HeaderReachedThroughSrcIsClean) {
+  // examples -> a.h -> b.h; b.h's own b.cc -> c.h.
+  Project project;
+  project.AddFile(Make("src/sim/a.h", "#include \"sim/b.h\"\n"));
+  project.AddFile(Make("src/sim/b.h", "namespace pstore { int B(); }\n"));
+  project.AddFile(Make("src/sim/b.cc",
+                       "#include \"sim/b.h\"\n"
+                       "#include \"sim/c.h\"\n"
+                       "namespace pstore { int B() { return C(); } }\n"));
+  project.AddFile(Make("src/sim/c.h", "namespace pstore { int C(); }\n"));
+  project.AddFile(Make("examples/demo.cc",
+                       "#include \"sim/a.h\"\n"
+                       "int main() { return pstore::B(); }\n"));
+  EXPECT_TRUE(RunRule(project, "test-only").empty());
+}
+
+TEST(TestOnlyTest, HeaderIncludedOnlyByAnUnreachedHeaderFires) {
+  Project project;
+  project.AddFile(Make("src/sim/used.h", "namespace pstore { int U(); }\n"));
+  project.AddFile(Make("src/sim/orphan.h",
+                       "#include \"sim/leaf.h\"\n"
+                       "namespace pstore { int O(); }\n"));
+  project.AddFile(Make("src/sim/leaf.h", "namespace pstore { int L(); }\n"));
+  project.AddFile(Make("benchmark/run.cc",
+                       "#include \"sim/used.h\"\n"
+                       "int main() { return pstore::U(); }\n"));
+  project.AddFile(Make("tests/orphan_test.cc",
+                       "#include \"sim/orphan.h\"\n"
+                       "int main() { return pstore::O(); }\n"));
+  std::vector<Finding> findings = RunRule(project, "test-only");
+  ASSERT_EQ(findings.size(), 2u);
+  EXPECT_TRUE(HasFinding(findings, "test-only", "src/sim/leaf.h",
+                         "'sim/leaf.h'"));
+  EXPECT_TRUE(HasFinding(findings, "test-only", "src/sim/orphan.h",
+                         "'sim/orphan.h'"));
+}
+
+TEST(TestOnlyTest, SuppressionComment) {
+  Project project;
+  project.AddFile(Make("src/planner/oracle.h",
+                       "#ifndef ORACLE_H_\n"
+                       "#define ORACLE_H_\n"
+                       "// Only tests run it: the oracle for the DP.\n"
+                       "// pstore-analyze: allow(test-only)\n"
+                       "namespace pstore { int Oracle(); }\n"
+                       "#endif\n"));
+  project.AddFile(Make("bench/fig.cc", "int main() { return 0; }\n"));
+  EXPECT_TRUE(RunRule(project, "test-only").empty());
+}
+
+TEST(TestOnlyTest, SilentWithoutProgramFiles) {
+  Project project;
+  project.AddFile(Make("src/planner/oracle.h",
+                       "namespace pstore { int Oracle(); }\n"));
+  project.AddFile(Make("tests/oracle_test.cc",
+                       "#include \"planner/oracle.h\"\n"
+                       "int main() { return pstore::Oracle(); }\n"));
+  EXPECT_TRUE(RunRule(project, "test-only").empty());
+}
+
 // ------------------------------------------------------------------- analyzer
 
 TEST(AnalyzerTest, RuleCatalogAndSelection) {
@@ -987,7 +1076,8 @@ TEST(AnalyzerTest, RuleCatalogAndSelection) {
   EXPECT_EQ(names, (std::vector<std::string>{
                        "layering", "status", "include", "nondet-iteration",
                        "global-mutable-state", "pointer-order", "guarded-by",
-                       "lock-order", "dead-symbol", "hot-path-perf"}));
+                       "lock-order", "dead-symbol", "hot-path-perf",
+                       "test-only"}));
   EXPECT_FALSE(analyzer.SelectRules({"nonsense"}).ok());
   EXPECT_TRUE(analyzer.SelectRules({"layering", "status"}).ok());
   EXPECT_TRUE(analyzer.SelectRules({"lock-order", "dead-symbol"}).ok());

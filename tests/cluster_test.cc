@@ -139,15 +139,6 @@ TEST(ClusterTest, MoveBucketToSamePartitionIsNoOp) {
   EXPECT_EQ(cluster.PartitionOfBucket(5), partition);
 }
 
-TEST(ClusterTest, AssignBucketsEvenlyAfterGrowth) {
-  Cluster cluster(SmallCluster());
-  ASSERT_TRUE(cluster.ActivateNodes(4).ok());
-  cluster.AssignBucketsEvenly();
-  for (int p = 0; p < cluster.total_active_partitions(); ++p) {
-    EXPECT_EQ(cluster.BucketsOnPartition(p).size(), 8u);
-  }
-}
-
 TEST(ClusterTest, DataAccounting) {
   Cluster cluster(SmallCluster());
   Row row;

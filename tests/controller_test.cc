@@ -13,7 +13,6 @@
 #include "controller/controller.h"
 #include "controller/predictive_controller.h"
 #include "controller/reactive_controller.h"
-#include "controller/simple_controller.h"
 #include "engine/cluster.h"
 #include "engine/event_loop.h"
 #include "engine/metrics.h"
@@ -265,37 +264,6 @@ TEST(ReactiveControllerTest, ScalesInAfterSustainedLowLoad) {
   harness.RunFor(200 * 6 * kSecond);
   EXPECT_LT(harness.cluster.active_nodes(), 3);
   EXPECT_GE(controller.scale_ins(), 1);
-}
-
-TEST(SimpleControllerTest, FollowsTimeOfDaySchedule) {
-  // Flat tiny load; the simple controller reconfigures purely by clock.
-  TimeSeries trace(6.0, std::vector<double>(400, 50.0));
-  Harness harness(trace, 2);
-  SimpleControllerOptions options;
-  options.slot_sim_seconds = 6.0;
-  options.slots_per_day = 100;  // compressed "day"
-  options.up_slot = 30;
-  options.down_slot = 70;
-  options.day_nodes = 4;
-  options.night_nodes = 2;
-  SimpleController controller(&harness.loop, &harness.cluster,
-                              &harness.migration, options);
-  EXPECT_EQ(controller.DesiredNodes(0), 2);
-  EXPECT_EQ(controller.DesiredNodes(30), 4);
-  EXPECT_EQ(controller.DesiredNodes(69), 4);
-  EXPECT_EQ(controller.DesiredNodes(70), 2);
-
-  controller.Start();
-  harness.driver->Start(400 * 6 * kSecond);
-  // Mid-"day" of the first day.
-  harness.loop.RunUntil(55 * 6 * kSecond);
-  EXPECT_EQ(harness.cluster.active_nodes(), 4);
-  // "Night" of the first day.
-  harness.loop.RunUntil(95 * 6 * kSecond);
-  EXPECT_EQ(harness.cluster.active_nodes(), 2);
-  // "Day" again on day 2.
-  harness.loop.RunUntil(155 * 6 * kSecond);
-  EXPECT_EQ(harness.cluster.active_nodes(), 4);
 }
 
 TEST(LoadMonitorTest, RatesAreDeltas) {

@@ -9,7 +9,6 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/strong_id.h"
-#include "common/thread_pool.h"
 #include "planner/brute_force_planner.h"
 #include "planner/move.h"
 #include "planner/move_model.h"
@@ -272,38 +271,6 @@ TEST(DpVersusBruteForceRamp, StepRamp) {
   if (dp_plan.ok()) {
     EXPECT_EQ(dp_plan->final_nodes, bf_plan->final_nodes);
     EXPECT_NEAR(dp_plan->total_cost, bf_plan->total_cost, 1e-6);
-  }
-}
-
-// ---- Parallel brute force ---------------------------------------------------
-
-// The parallel candidate search must return the *same plan* — ties
-// included — as the serial search, for any thread count.
-TEST(BruteForcePlannerTest, ParallelSearchMatchesSerial) {
-  PlannerParams params = FastParams();
-  params.d_slots = 3.0;
-  const BruteForcePlanner serial(params);
-  for (const uint64_t seed : {21u, 22u, 23u, 24u, 25u, 26u}) {
-    Rng rng(seed);
-    std::vector<double> load;
-    for (int t = 0; t <= 7; ++t) {
-      load.push_back(60.0 + 260.0 * rng.NextDouble());
-    }
-    const NodeCount initial(1 + static_cast<int>(seed % 4));
-    StatusOr<PlanResult> serial_plan = serial.BestMoves(load, initial);
-    for (int threads : {2, 8}) {
-      ThreadPool pool(threads);
-      BruteForcePlanner parallel(params);
-      parallel.set_thread_pool(&pool);
-      StatusOr<PlanResult> parallel_plan = parallel.BestMoves(load, initial);
-      ASSERT_EQ(serial_plan.ok(), parallel_plan.ok())
-          << "seed " << seed << " threads " << threads;
-      if (!serial_plan.ok()) continue;
-      EXPECT_EQ(serial_plan->moves, parallel_plan->moves)
-          << "seed " << seed << " threads " << threads;
-      EXPECT_EQ(serial_plan->total_cost, parallel_plan->total_cost);
-      EXPECT_EQ(serial_plan->final_nodes, parallel_plan->final_nodes);
-    }
   }
 }
 

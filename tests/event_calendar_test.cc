@@ -55,15 +55,6 @@ TEST(EventCalendarTest, ApplyToForecastUsesAbsoluteSlots) {
   EXPECT_EQ(forecast, (std::vector<double>{10, 10, 40, 40}));
 }
 
-TEST(EventCalendarTest, ExpireDropsPastEvents) {
-  EventCalendar calendar;
-  ASSERT_TRUE(calendar.AddEvent({"old", 0, 50, 2.0}).ok());
-  ASSERT_TRUE(calendar.AddEvent({"new", 100, 150, 2.0}).ok());
-  calendar.ExpireBefore(60);
-  EXPECT_EQ(calendar.size(), 1u);
-  EXPECT_EQ(calendar.events()[0].name, "new");
-}
-
 TEST(EventCalendarTest, OnlinePredictorAppliesCalendar) {
   // Flat 100-value history with a LastValue model; a 3x event covering
   // forecast slots 2..3 must show up in the horizon.

@@ -79,8 +79,14 @@ PlacementOptions SmallPoolOptions() {
   return options;
 }
 
+// The move-model table the packer prices pool resizes with.
+MoveModelTable PoolTable() {
+  return MoveModelTable(PlannerParams{}, NodeCount(64));
+}
+
 TEST(PlacementPlannerTest, RespectsMachineCapacity) {
-  PlacementPlanner planner(SmallPoolOptions(), nullptr);
+  const MoveModelTable table = PoolTable();
+  PlacementPlanner planner(SmallPoolOptions(), table);
   // Four tenants of 60 each, one partition apiece: no two items can
   // share a machine (60 + 60 > 100), so the pack needs four machines.
   const StatusOr<Placement> packed =
@@ -93,7 +99,8 @@ TEST(PlacementPlannerTest, RespectsMachineCapacity) {
 }
 
 TEST(PlacementPlannerTest, BinPacksSubMachineTenants) {
-  PlacementPlanner planner(SmallPoolOptions(), nullptr);
+  const MoveModelTable table = PoolTable();
+  PlacementPlanner planner(SmallPoolOptions(), table);
   // Eight tenants of 25 each fit exactly onto two machines.
   const StatusOr<Placement> packed = planner.Pack(
       std::vector<double>(8, 25.0), std::vector<int>(8, 1), nullptr);
@@ -102,16 +109,17 @@ TEST(PlacementPlannerTest, BinPacksSubMachineTenants) {
 }
 
 TEST(PlacementPlannerTest, InterferenceReducesCoLocation) {
+  const MoveModelTable table = PoolTable();
   PlacementOptions options = SmallPoolOptions();
   const StatusOr<Placement> no_interference =
-      PlacementPlanner(options, nullptr)
+      PlacementPlanner(options, table)
           .Pack(std::vector<double>(8, 24.0), std::vector<int>(8, 1),
                 nullptr);
   ASSERT_TRUE(no_interference.ok());
 
   options.interference_per_tenant = 0.1;  // 4 co-tenants cost 30%
   const StatusOr<Placement> with_interference =
-      PlacementPlanner(options, nullptr)
+      PlacementPlanner(options, table)
           .Pack(std::vector<double>(8, 24.0), std::vector<int>(8, 1),
                 nullptr);
   ASSERT_TRUE(with_interference.ok());
@@ -120,18 +128,20 @@ TEST(PlacementPlannerTest, InterferenceReducesCoLocation) {
 }
 
 TEST(PlacementPlannerTest, SameTenantPartitionsDoNotInterfere) {
+  const MoveModelTable table = PoolTable();
   PlacementOptions options = SmallPoolOptions();
   options.interference_per_tenant = 0.5;
   // One tenant, four partitions of 24: all fit on one machine because
   // co-locating the same tenant is interference-free.
   const StatusOr<Placement> packed =
-      PlacementPlanner(options, nullptr).Pack({96.0}, {4}, nullptr);
+      PlacementPlanner(options, table).Pack({96.0}, {4}, nullptr);
   ASSERT_TRUE(packed.ok());
   EXPECT_EQ(packed->machines_used, 1);
 }
 
 TEST(PlacementPlannerTest, DeterministicAcrossRepeatedPacks) {
-  PlacementPlanner planner(SmallPoolOptions(), nullptr);
+  const MoveModelTable table = PoolTable();
+  PlacementPlanner planner(SmallPoolOptions(), table);
   const std::vector<double> demand = {40.0, 40.0, 30.0, 30.0, 20.0, 20.0};
   const std::vector<int> partitions = {2, 1, 1, 2, 1, 1};
   const StatusOr<Placement> first = planner.Pack(demand, partitions, nullptr);
@@ -146,7 +156,8 @@ TEST(PlacementPlannerTest, DeterministicAcrossRepeatedPacks) {
 }
 
 TEST(PlacementPlannerTest, EqualDemandTieBreaksByLowestIndex) {
-  PlacementPlanner planner(SmallPoolOptions(), nullptr);
+  const MoveModelTable table = PoolTable();
+  PlacementPlanner planner(SmallPoolOptions(), table);
   // Two identical items: the lower flat index must land on the lower
   // machine id (demand ties break by index, machines by id).
   const StatusOr<Placement> packed =
@@ -157,7 +168,8 @@ TEST(PlacementPlannerTest, EqualDemandTieBreaksByLowestIndex) {
 }
 
 TEST(PlacementPlannerTest, IncrementalKeepsFittingPartitionsPut) {
-  PlacementPlanner planner(SmallPoolOptions(), nullptr);
+  const MoveModelTable table = PoolTable();
+  PlacementPlanner planner(SmallPoolOptions(), table);
   const std::vector<int> partitions = {1, 1, 1};
   const StatusOr<Placement> initial =
       planner.Pack({48.0, 30.0, 20.0}, partitions, nullptr);
@@ -174,7 +186,8 @@ TEST(PlacementPlannerTest, IncrementalKeepsFittingPartitionsPut) {
 }
 
 TEST(PlacementPlannerTest, IncrementalEvictsFromOverloadedMachine) {
-  PlacementPlanner planner(SmallPoolOptions(), nullptr);
+  const MoveModelTable table = PoolTable();
+  PlacementPlanner planner(SmallPoolOptions(), table);
   const std::vector<int> partitions = {1, 1};
   const StatusOr<Placement> initial =
       planner.Pack({50.0, 40.0}, partitions, nullptr);
@@ -189,7 +202,8 @@ TEST(PlacementPlannerTest, IncrementalEvictsFromOverloadedMachine) {
 }
 
 TEST(PlacementPlannerTest, IncrementalEvictsSeveralFromOneMachine) {
-  PlacementPlanner planner(SmallPoolOptions(), nullptr);
+  const MoveModelTable table = PoolTable();
+  PlacementPlanner planner(SmallPoolOptions(), table);
   const std::vector<int> partitions = {1, 1, 1};
   const StatusOr<Placement> initial =
       planner.Pack({34.0, 33.0, 33.0}, partitions, nullptr);
@@ -217,8 +231,7 @@ TEST(PlacementPlannerTest, IncrementalEvictsSeveralFromOneMachine) {
 TEST(PlacementPlannerTest, RepackEconomicsGateConsolidation) {
   // After a demand collapse the sticky pack strands machines; whether
   // the consolidating repack is adopted depends on the priced churn.
-  PlannerParams params;
-  const MoveModelTable table(params, NodeCount(64));
+  const MoveModelTable table = PoolTable();
   const std::vector<int> partitions(8, 1);
   const std::vector<double> high(8, 60.0);
   const std::vector<double> low(8, 10.0);
@@ -226,7 +239,7 @@ TEST(PlacementPlannerTest, RepackEconomicsGateConsolidation) {
   PlacementOptions cheap_moves = SmallPoolOptions();
   cheap_moves.partition_move_cost = 0.0;
   {
-    PlacementPlanner planner(cheap_moves, &table);
+    PlacementPlanner planner(cheap_moves, table);
     const StatusOr<Placement> initial =
         planner.Pack(high, partitions, nullptr);
     ASSERT_TRUE(initial.ok());
@@ -241,7 +254,7 @@ TEST(PlacementPlannerTest, RepackEconomicsGateConsolidation) {
   PlacementOptions dear_moves = SmallPoolOptions();
   dear_moves.partition_move_cost = 1e9;  // any churn outweighs savings
   {
-    PlacementPlanner planner(dear_moves, &table);
+    PlacementPlanner planner(dear_moves, table);
     const StatusOr<Placement> initial =
         planner.Pack(high, partitions, nullptr);
     ASSERT_TRUE(initial.ok());
@@ -253,8 +266,33 @@ TEST(PlacementPlannerTest, RepackEconomicsGateConsolidation) {
   }
 }
 
+// Beyond the table's grid a pool resize is priced by the move model,
+// not as free, so the grid size cannot change a repack decision.
+TEST(PlacementPlannerTest, RepackDecisionDoesNotDependOnGridSize) {
+  const std::vector<int> partitions(8, 1);
+  PlacementOptions options = SmallPoolOptions();
+  options.partition_move_cost = 0.0;
+  // Seven machines saved for 5 slots (35 machine-slots) do not pay for
+  // the 8 -> 1 resize: C(8, 1) = 67.375 machine-slots at the default D.
+  options.repack_amortize_slots = 5;
+  for (const int grid : {2, 64}) {
+    const MoveModelTable table(PlannerParams{}, NodeCount(grid));
+    const PlacementPlanner planner(options, table);
+    const StatusOr<Placement> initial =
+        planner.Pack(std::vector<double>(8, 60.0), partitions, nullptr);
+    ASSERT_TRUE(initial.ok());
+    ASSERT_EQ(initial->machines_used, 8);
+    const StatusOr<Placement> next =
+        planner.Pack(std::vector<double>(8, 10.0), partitions, &*initial);
+    ASSERT_TRUE(next.ok());
+    EXPECT_FALSE(next->repacked) << "grid " << grid;
+    EXPECT_EQ(next->machines_used, 8) << "grid " << grid;
+  }
+}
+
 TEST(PlacementPlannerTest, RejectsMalformedInput) {
-  PlacementPlanner planner(SmallPoolOptions(), nullptr);
+  const MoveModelTable table = PoolTable();
+  PlacementPlanner planner(SmallPoolOptions(), table);
   EXPECT_FALSE(planner.Pack({1.0}, {1, 1}, nullptr).ok());
   EXPECT_FALSE(planner.Pack({1.0}, {0}, nullptr).ok());
   EXPECT_FALSE(planner.Pack({-1.0}, {1}, nullptr).ok());
@@ -272,8 +310,8 @@ TEST(PlacementPlannerTest, RejectsMalformedInput) {
 // economics. PlacementPlanner must reproduce it bit for bit.
 class ReferencePacker {
  public:
-  ReferencePacker(const PlacementOptions& options, const MoveModelTable* table)
-      : options_(options), table_(table) {}
+  ReferencePacker(const PlacementOptions& options, const MoveModelTable& table)
+      : options_(options), table_(&table) {}
 
   Placement Pack(const std::vector<double>& tenant_demand,
                  const std::vector<int>& tenant_partitions,
@@ -336,13 +374,8 @@ class ReferencePacker {
     Placement fresh = Fresh(items);
     const int saved = sticky.machines_used - fresh.machines_used;
     if (saved <= 0) return sticky;
-    double resize_cost = 0.0;
-    if (table_ != nullptr &&
-        table_->Covers(NodeCount(sticky.machines_used),
-                       NodeCount(fresh.machines_used))) {
-      resize_cost = table_->MoveCost(NodeCount(sticky.machines_used),
-                                     NodeCount(fresh.machines_used));
-    }
+    const double resize_cost = table_->MoveCost(
+        NodeCount(sticky.machines_used), NodeCount(fresh.machines_used));
     fresh.moved_partitions = Moves(fresh, *previous);
     const int64_t extra_moves =
         std::max<int64_t>(0, fresh.moved_partitions - sticky.moved_partitions);
@@ -490,8 +523,7 @@ void ExpectSamePlacement(const Placement& expected, const Placement& actual,
 // steps spread the previous placement's machine ids to leave empty
 // machines for the sticky pack to reuse.
 TEST(PlacementDifferentialTest, MatchesNaiveReferencePacker) {
-  PlannerParams params;
-  const MoveModelTable table(params, NodeCount(64));
+  const MoveModelTable table = PoolTable();
   int kept_repacks = 0;
   int sticky_moves = 0;
   int reused_machines = 0;
@@ -505,9 +537,8 @@ TEST(PlacementDifferentialTest, MatchesNaiveReferencePacker) {
     options.interference_per_tenant = seed % 3 == 0 ? 0.0 : 0.02;
     options.partition_move_cost = seed % 2 == 0 ? 0.0 : 0.5;
     options.repack_amortize_slots = seed % 4 == 1 ? 1 : 288;
-    const MoveModelTable* move_table = seed % 5 == 0 ? nullptr : &table;
-    const PlacementPlanner planner(options, move_table);
-    const ReferencePacker reference(options, move_table);
+    const PlacementPlanner planner(options, table);
+    const ReferencePacker reference(options, table);
 
     const size_t tenants = 40 + rng.NextUint64(160);
     std::vector<int> partitions(tenants);
@@ -695,7 +726,8 @@ FleetControllerOptions SmallControllerOptions() {
 }
 
 TEST(FleetControllerTest, PacksFromForecasts) {
-  FleetController controller(SmallControllerOptions(), {1, 1}, nullptr,
+  const MoveModelTable table = PoolTable();
+  FleetController controller(SmallControllerOptions(), {1, 1}, table,
                              nullptr);
   ASSERT_TRUE(controller.WarmUp({{40.0, 40.0, 40.0, 40.0},
                                  {30.0, 30.0, 30.0, 30.0}})
@@ -710,7 +742,8 @@ TEST(FleetControllerTest, PacksFromForecasts) {
 TEST(FleetControllerTest, SpikeTriggersReplanWithObservedDemand) {
   FleetControllerOptions options = SmallControllerOptions();
   options.spike_replan_factor = 1.5;
-  FleetController controller(options, {1, 1}, nullptr, nullptr);
+  const MoveModelTable table = PoolTable();
+  FleetController controller(options, {1, 1}, table, nullptr);
   ASSERT_TRUE(controller.WarmUp({{40.0, 40.0, 40.0, 40.0},
                                  {30.0, 30.0, 30.0, 30.0}})
                   .ok());
@@ -731,9 +764,10 @@ TEST(FleetControllerTest, ParallelForecastMatchesSerial) {
   const std::vector<std::vector<double>> history = {
       {40.0, 42.0, 38.0, 41.0}, {30.0, 29.0, 31.0, 30.0},
       {20.0, 22.0, 18.0, 21.0}, {10.0, 12.0, 8.0, 11.0}};
-  FleetController serial(SmallControllerOptions(), {1, 1, 1, 1}, nullptr,
+  const MoveModelTable table = PoolTable();
+  FleetController serial(SmallControllerOptions(), {1, 1, 1, 1}, table,
                          nullptr);
-  FleetController parallel(SmallControllerOptions(), {1, 1, 1, 1}, nullptr,
+  FleetController parallel(SmallControllerOptions(), {1, 1, 1, 1}, table,
                            nullptr);
   ASSERT_TRUE(serial.WarmUp(history).ok());
   ASSERT_TRUE(parallel.WarmUp(history).ok());

@@ -309,10 +309,6 @@ TEST(MoveModelTableTest, MatchesDirectComputationOverFullGrid) {
                     MoveCost(before, after, params))
               << "C(" << before << "," << after << ") d=" << d_slots
               << " p=" << partitions;
-          EXPECT_EQ(
-              table.AvgMachinesAllocated(NodeCount(before), NodeCount(after)),
-              AvgMachinesAllocated(before, after))
-              << "avg(" << before << "," << after << ")";
         }
       }
     }
@@ -326,6 +322,25 @@ TEST(MoveModelTableTest, CoversOnlyTheGrid) {
   EXPECT_FALSE(table.Covers(NodeCount(0), NodeCount(4)));
   EXPECT_FALSE(table.Covers(NodeCount(9), NodeCount(4)));
   EXPECT_FALSE(table.Covers(NodeCount(4), NodeCount(9)));
+}
+
+// Pairs beyond the grid come from the move model itself, so a caller
+// gets the same answer from a table of any size.
+TEST(MoveModelTableTest, FallsBackToTheMoveModelBeyondItsGrid) {
+  PlannerParams params = UnitParams();
+  params.d_slots = 12.833;
+  params.partitions_per_node = 6;
+  const MoveModelTable table(params, NodeCount(4));
+  for (int before = 1; before <= 12; ++before) {
+    for (int after = 1; after <= 12; ++after) {
+      EXPECT_EQ(table.MoveTime(NodeCount(before), NodeCount(after)),
+                MoveTime(before, after, params))
+          << "T(" << before << "," << after << ")";
+      EXPECT_EQ(table.MoveCost(NodeCount(before), NodeCount(after)),
+                MoveCost(before, after, params))
+          << "C(" << before << "," << after << ")";
+    }
+  }
 }
 
 TEST(MoveModelTableTest, MatchesParamsChecksOnlyTheFieldsItReads) {

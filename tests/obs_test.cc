@@ -230,7 +230,7 @@ TEST(MetricsRegistryTest, ToJsonIsSortedAndTyped) {
   EXPECT_NE(json.find("\"max_us\":300"), std::string::npos);
 }
 
-TEST(MetricsRegistryTest, WriteJsonAndCsvLand) {
+TEST(MetricsRegistryTest, WriteJsonLands) {
   MetricsRegistry registry;
   registry.GetCounter("engine.committed")->Increment(10);
   registry.GetGauge("engine.avg_machines")->Set(5.25);
@@ -239,20 +239,12 @@ TEST(MetricsRegistryTest, WriteJsonAndCsvLand) {
   const std::string json_path = ::testing::TempDir() + "/metrics.json";
   ASSERT_TRUE(registry.WriteJson(json_path).ok());
   EXPECT_EQ(ReadWholeFile(json_path), registry.ToJson());
-
-  const std::string csv_path = ::testing::TempDir() + "/metrics.csv";
-  ASSERT_TRUE(registry.WriteCsv(csv_path).ok());
-  const std::string csv = ReadWholeFile(csv_path);
-  EXPECT_NE(csv.find("engine.committed,counter,10"), std::string::npos);
-  EXPECT_NE(csv.find("predictor.fit_us.count"), std::string::npos);
   std::remove(json_path.c_str());
-  std::remove(csv_path.c_str());
 }
 
 TEST(MetricsRegistryTest, ExportersFailLoudlyOnBadPath) {
   MetricsRegistry registry;
   EXPECT_FALSE(registry.WriteJson("/nonexistent/dir/m.json").ok());
-  EXPECT_FALSE(registry.WriteCsv("/nonexistent/dir/m.csv").ok());
 }
 
 // ---- Run report -----------------------------------------------------------

@@ -92,34 +92,6 @@ TEST(RngTest, ExponentialMeanMatches) {
   EXPECT_NEAR(sum / n, 2.5, 0.05);
 }
 
-class PoissonMeanTest : public ::testing::TestWithParam<double> {};
-
-TEST_P(PoissonMeanTest, MeanAndNonNegativity) {
-  const double mean = GetParam();
-  Rng rng(99);
-  const int n = 50000;
-  double sum = 0.0;
-  for (int i = 0; i < n; ++i) {
-    const int64_t v = rng.NextPoisson(mean);
-    EXPECT_GE(v, 0);
-    sum += static_cast<double>(v);
-  }
-  // Poisson sd is sqrt(mean); allow 6 standard errors.
-  const double tolerance = 6.0 * std::sqrt(mean / n) + 1e-9;
-  EXPECT_NEAR(sum / n, mean, tolerance);
-}
-
-INSTANTIATE_TEST_SUITE_P(SmallAndLargeMeans, PoissonMeanTest,
-                         ::testing::Values(0.1, 1.0, 5.0, 29.0, 35.0, 120.0,
-                                           1500.0));
-
-TEST(RngTest, PoissonZeroMean) {
-  Rng rng(1);
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(rng.NextPoisson(0.0), 0);
-  }
-}
-
 TEST(RngTest, BernoulliFrequency) {
   Rng rng(5);
   int heads = 0;

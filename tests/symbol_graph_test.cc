@@ -197,6 +197,32 @@ TEST(SymbolGraphTest, MentionsCountReferencesOutsideOwnSites) {
   EXPECT_EQ(graph.functions()[unref].mentions, 0);
 }
 
+TEST(SymbolGraphTest, AttributeAfterClassKeywordKeepsTheClassScope) {
+  Project project;
+  project.AddFile(Make("src/common/result.h",
+                       "namespace pstore {\n"
+                       "class [[nodiscard]] Result {\n"
+                       " public:\n"
+                       "  static Result OK();\n"
+                       "};\n"
+                       "}  // namespace pstore\n"));
+  project.AddFile(Make("src/common/result.cc",
+                       "#include \"common/result.h\"\n"
+                       "namespace pstore {\n"
+                       "Result Result::OK() { return Result(); }\n"
+                       "Result Succeed() { return Result::OK(); }\n"
+                       "}  // namespace pstore\n"));
+  TokenCache cache(project);
+  SymbolGraph graph(project, cache);
+  EXPECT_EQ(graph.FindFunction("pstore::OK"), SymbolGraph::kNoSymbol);
+  const size_t ok = graph.FindFunction("pstore::Result::OK");
+  const size_t succeed = graph.FindFunction("pstore::Succeed");
+  ASSERT_NE(ok, SymbolGraph::kNoSymbol);
+  ASSERT_NE(succeed, SymbolGraph::kNoSymbol);
+  EXPECT_EQ(graph.functions()[ok].class_name, "Result");
+  EXPECT_EQ(graph.callers_of(ok), std::vector<size_t>{succeed});
+}
+
 TEST(SymbolGraphTest, ParallelBuildMatchesSerial) {
   Project project = FixtureProject();
   // Extra files so the parallel scan actually interleaves.

@@ -82,30 +82,6 @@ TEST(TimeSeriesTest, Statistics) {
   EXPECT_NEAR(series.StdDev(), 2.0, 1e-12);
 }
 
-TEST(MetricsTest, MreBasic) {
-  const std::vector<double> actual = {100, 200};
-  const std::vector<double> predicted = {110, 180};
-  StatusOr<double> mre = MeanRelativeError(actual, predicted);
-  ASSERT_TRUE(mre.ok());
-  EXPECT_NEAR(*mre, (0.1 + 0.1) / 2.0, 1e-12);
-}
-
-TEST(MetricsTest, MreSkipsNearZeroActuals) {
-  const std::vector<double> actual = {0.0, 100};
-  const std::vector<double> predicted = {50, 150};
-  StatusOr<double> mre = MeanRelativeError(actual, predicted);
-  ASSERT_TRUE(mre.ok());
-  EXPECT_NEAR(*mre, 0.5, 1e-12);
-}
-
-TEST(MetricsTest, MreLengthMismatchFails) {
-  EXPECT_FALSE(MeanRelativeError({1.0}, {1.0, 2.0}).ok());
-}
-
-TEST(MetricsTest, MreAllZeroActualsFails) {
-  EXPECT_FALSE(MeanRelativeError({0.0, 0.0}, {1.0, 2.0}).ok());
-}
-
 TEST(MetricsTest, MaeAndRmse) {
   const std::vector<double> actual = {1, 2, 3};
   const std::vector<double> predicted = {2, 2, 1};
@@ -124,7 +100,6 @@ TEST(MetricsTest, EmptySeriesFail) {
 
 TEST(MetricsTest, PerfectPredictionIsZeroError) {
   const std::vector<double> values = {5, 10, 15};
-  EXPECT_EQ(*MeanRelativeError(values, values), 0.0);
   EXPECT_EQ(*MeanAbsoluteError(values, values), 0.0);
   EXPECT_EQ(*RootMeanSquaredError(values, values), 0.0);
 }

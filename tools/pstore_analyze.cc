@@ -5,7 +5,7 @@
 //
 // Runs the layering, Status-discipline, include-hygiene,
 // nondet-iteration, global-mutable-state, pointer-order, guarded-by,
-// lock-order, dead-symbol, and hot-path-perf rule families
+// lock-order, dead-symbol, hot-path-perf, and test-only rule families
 // (src/analysis/) over the given files or directories (default: src
 // tools bench tests examples, resolved from the current directory).
 // Exits 0 when clean, 1 with findings, 2 on usage errors.
