@@ -9,6 +9,7 @@
 
 #include "common/logging.h"
 #include "common/sim_time.h"
+#include "engine/row_table.h"
 #include "engine/table.h"
 
 namespace pstore {
@@ -23,12 +24,21 @@ SimTime Partition::Submit(SimTime now, SimTime service_time) {
 }
 
 size_t Partition::IndexOf(BucketId bucket) const {
-  return static_cast<size_t>(
-      std::lower_bound(bucket_ids_.begin(), bucket_ids_.end(), bucket) -
-      bucket_ids_.begin());
+  const BucketId* ids = bucket_ids_.data();
+  size_t n = bucket_ids_.size();
+  if (n == 0) return 0;
+  // The answer lies in [base, base + n]; each step halves n.
+  size_t base = 0;
+  while (n > 1) {
+    const size_t half = n / 2;
+    base += static_cast<size_t>(ids[base + half] < bucket) * half;
+    n -= half;
+  }
+  return base + static_cast<size_t>(ids[base] < bucket);
 }
 
 const BucketData* Partition::FindBucket(BucketId bucket) const {
+  if (HintIs(bucket)) return &bucket_data_[hint_];
   const size_t i = IndexOf(bucket);
   return i < bucket_ids_.size() && bucket_ids_[i] == bucket
              ? &bucket_data_[i]
@@ -40,13 +50,25 @@ BucketData* Partition::FindBucket(BucketId bucket) {
 }
 
 BucketData& Partition::FindOrAddBucket(BucketId bucket) {
-  const size_t i = IndexOf(bucket);
-  if (i == bucket_ids_.size() || bucket_ids_[i] != bucket) {
-    const auto offset = static_cast<std::ptrdiff_t>(i);
-    bucket_ids_.insert(bucket_ids_.begin() + offset, bucket);
-    bucket_data_.emplace(bucket_data_.begin() + offset);
+  if (!HintIs(bucket)) {
+    hint_ = IndexOf(bucket);
+    if (!HintIs(bucket)) {
+      const auto offset = static_cast<std::ptrdiff_t>(hint_);
+      bucket_ids_.insert(bucket_ids_.begin() + offset, bucket);
+      bucket_data_.emplace(bucket_data_.begin() + offset);
+    }
   }
-  return bucket_data_[i];
+  return bucket_data_[hint_];
+}
+
+void Partition::Prefetch(BucketId bucket, uint64_t key) const {
+  const BucketData* data = FindBucket(bucket);
+  if (data == nullptr) return;
+  // The 152-byte record spans up to four cache lines; the table headers
+  // read below cover the middle ones.
+  __builtin_prefetch(data);
+  __builtin_prefetch(&data->accesses);
+  for (const RowTable& table : data->tables) table.Prefetch(key);
 }
 
 void Partition::Put(BucketId bucket, TableId table, uint64_t key,

@@ -87,6 +87,11 @@ class Partition {
   bool HasBucket(BucketId bucket) const {
     return FindBucket(bucket) != nullptr;
   }
+  // Asks the cache for the bucket's record and, in each of its tables
+  // that has allocated, for `key`'s home slot, so that a transaction on
+  // that key submitted soon after finds them loaded. Changes nothing; a
+  // bucket not held here is skipped.
+  void Prefetch(BucketId bucket, uint64_t key) const;
   // Bytes held by one bucket (0 if the bucket holds no data here).
   int64_t BucketBytes(BucketId bucket) const;
 
@@ -117,10 +122,16 @@ class Partition {
 
  private:
   // Position of `bucket` in bucket_ids_, or where it would be inserted.
+  // Branch-free: the ids a search compares against are unpredictable, so
+  // each halving step is a compare and a conditional add, not a jump.
   size_t IndexOf(BucketId bucket) const;
+  // Whether hint_ still names `bucket`.
+  bool HintIs(BucketId bucket) const {
+    return hint_ < bucket_ids_.size() && bucket_ids_[hint_] == bucket;
+  }
   BucketData* FindBucket(BucketId bucket);
   const BucketData* FindBucket(BucketId bucket) const;
-  // The bucket's record, created empty when absent.
+  // The bucket's record, created empty when absent. Sets hint_.
   BucketData& FindOrAddBucket(BucketId bucket);
 
   SimTime busy_until_ = 0;
@@ -132,6 +143,12 @@ class Partition {
   // order, so no result depends on the order buckets arrived in.
   std::vector<BucketId> bucket_ids_;
   std::vector<BucketData> bucket_data_;
+  // Index of the record FindOrAddBucket returned last. A transaction's
+  // RecordAccess, then its procedure's Get, GetMutable and Put all name
+  // one bucket, so only the first of them searches. The hint is used
+  // only while bucket_ids_[hint_] is that bucket, so the inserts and
+  // removals that shift the vectors need not maintain it.
+  size_t hint_ = 0;
   int64_t row_count_ = 0;
   int64_t data_bytes_ = 0;
 };

@@ -56,6 +56,15 @@ class RowTable {
     return const_cast<Row*>(std::as_const(*this).Find(key));
   }
 
+  // Asks the cache for `key`'s home slot and its occupancy byte, where
+  // Find starts. A table that never allocated has neither.
+  void Prefetch(uint64_t key) const {
+    if (capacity_ == 0) return;
+    const uint32_t home = HomeSlot(key, capacity_);
+    __builtin_prefetch(&slots_[home]);
+    __builtin_prefetch(Used() + home);
+  }
+
   // Stores `row` under `key` unless the key is already present. Returns
   // the stored row (the existing one when nothing was inserted) and
   // whether an insert happened.

@@ -138,6 +138,20 @@ TxnResult TxnExecutor::SubmitMulti(const TxnRequest& request, SimTime now) {
   return result;
 }
 
+void TxnExecutor::Prefetch(const TxnRequest& request) const {
+  if (request.procedure >= kMaxProcedures) return;
+  const int extra_keys =
+      multi_handlers_[request.procedure] == nullptr
+          ? 0
+          : std::clamp(request.num_extra_keys, 0, kMaxTxnKeys - 1);
+  for (int i = 0; i <= extra_keys; ++i) {
+    const uint64_t key = i == 0 ? request.key : request.extra_keys[i - 1];
+    const BucketId bucket = cluster_->BucketForKey(key);
+    cluster_->partition(cluster_->PartitionOfBucket(bucket))
+        .Prefetch(bucket, key);
+  }
+}
+
 TxnResult TxnExecutor::Submit(const TxnRequest& request, SimTime now) {
   ++submitted_count_;
   if (request.procedure >= kMaxProcedures ||

@@ -55,6 +55,14 @@ class TxnExecutor {
   // the procedure's logical result; timing lands in the metrics.
   TxnResult Submit(const TxnRequest& request, SimTime now);
 
+  // Routes the request's key or keys and prefetches, on each owning
+  // partition, the bucket record and the keys' home slots (see
+  // Partition::Prefetch). Reads only: no result, counter or random draw
+  // changes. Called for the next arrival before the current one is
+  // submitted, it overlaps the next transaction's cache misses with the
+  // current one's work.
+  void Prefetch(const TxnRequest& request) const;
+
   int64_t submitted_count() const { return submitted_count_; }
   int64_t committed_count() const { return committed_count_; }
   int64_t aborted_count() const { return aborted_count_; }

@@ -68,21 +68,37 @@ void WorkloadDriver::Tick() {
   // draws its own exponential gaps (restarting at the boundary is valid
   // by memorylessness). For whole-second slot sizes a tick is a single
   // segment and the draw sequence is exactly the historical one.
+  //
+  // Each segment runs one arrival ahead: the next gap and request are
+  // drawn, and the request's rows prefetched, before the current request
+  // is submitted, so its cache misses overlap the current Submit. rng_
+  // still draws gap, request, gap, ... in arrival order; only the
+  // factory's calls move ahead of Submit (see TxnFactory).
   int64_t arrivals = 0;
   SimTime seg_start = tick_start;
   while (seg_start < tick_end) {
     const SimTime seg_end = std::min(tick_end, NextSlotBoundary(seg_start));
+    const SimTime limit = std::min(seg_end, end_time_);
     const double rate = OfferedRate(seg_start);
     if (rate > 0.0) {
       const double mean_gap_seconds = 1.0 / rate;
       SimTime t =
           seg_start + FromSeconds(rng_.NextExponential(mean_gap_seconds));
-      while (t < seg_end && t < end_time_) {
-        const TxnRequest request = factory_(rng_);
+      TxnRequest request;
+      if (t < limit) request = factory_(rng_);
+      while (t < limit) {
+        const SimTime next_t =
+            t + FromSeconds(rng_.NextExponential(mean_gap_seconds));
+        TxnRequest next;
+        if (next_t < limit) {
+          next = factory_(rng_);
+          executor_->Prefetch(next);
+        }
         executor_->Submit(request, t);
         ++arrivals_generated_;
         ++arrivals;
-        t += FromSeconds(rng_.NextExponential(mean_gap_seconds));
+        request = next;
+        t = next_t;
       }
     }
     seg_start = seg_end;

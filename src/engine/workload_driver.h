@@ -36,7 +36,12 @@ struct DriverOptions {
 // model stays faithful.
 class WorkloadDriver {
  public:
-  // Produces the next transaction to submit; called once per arrival.
+  // Produces the next transaction to submit; called once per arrival,
+  // in arrival order. The driver calls it one arrival ahead of Submit:
+  // the request for arrival k+1 is made before arrival k is submitted.
+  // So a factory must not read state that Submit changes (storage,
+  // metrics, executor counters); the b2w and ycsb NextTransaction read
+  // only their own generator state and `rng`.
   using TxnFactory = std::function<TxnRequest(Rng& rng)>;
 
   WorkloadDriver(EventLoop* loop, TxnExecutor* executor, TimeSeries trace,

@@ -1,6 +1,8 @@
 #include "trace/trace_io.h"
 
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -35,14 +37,21 @@ StatusOr<TimeSeries> LoadTraceCsv(const std::string& path) {
   double slot_seconds = 60.0;
   std::vector<double> values;
   std::string line;
+  size_t line_number = 0;
+  const auto bad_line = [&](const std::string& what) {
+    return Status::InvalidArgument(path + " line " +
+                                   std::to_string(line_number) + ": " + what +
+                                   ": " + line);
+  };
   while (std::getline(in, line)) {
+    ++line_number;
     if (line.empty()) continue;
     if (line[0] == '#') {
       const auto pos = line.find("slot_seconds=");
       if (pos != std::string::npos) {
         slot_seconds = std::strtod(line.c_str() + pos + 13, nullptr);
-        if (slot_seconds <= 0.0) {
-          return Status::InvalidArgument("bad slot_seconds in " + path);
+        if (!std::isfinite(slot_seconds) || slot_seconds <= 0.0) {
+          return bad_line("slot_seconds must be finite and positive");
         }
       }
       continue;
@@ -53,6 +62,9 @@ StatusOr<TimeSeries> LoadTraceCsv(const std::string& path) {
     char* end = nullptr;
     const double value = std::strtod(value_field.c_str(), &end);
     if (end == value_field.c_str()) continue;  // header row
+    if (!std::isfinite(value) || value < 0.0) {
+      return bad_line("load must be finite and non-negative");
+    }
     values.push_back(value);
   }
   return TimeSeries(slot_seconds, std::move(values));

@@ -1,12 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "b2w/procedures.h"
 #include "b2w/schema.h"
 #include "b2w/workload.h"
 #include "common/rng.h"
 #include "common/sim_time.h"
+#include "common/status.h"
 #include "common/time_series.h"
 #include "engine/cluster.h"
 #include "engine/event_loop.h"
@@ -15,6 +22,8 @@
 #include "engine/transaction.h"
 #include "engine/txn_executor.h"
 #include "engine/workload_driver.h"
+#include "obs/trace_event.h"
+#include "obs/tracer.h"
 
 namespace pstore {
 namespace {
@@ -256,6 +265,96 @@ TEST(WorkloadDriverTest, FractionalSlotsStopAtMidTickBoundary) {
   // ~800 a whole-tick sample of slot 0's rate would generate.
   EXPECT_NEAR(static_cast<double>(driver.arrivals_generated()), 600.0,
               5.0 * std::sqrt(600.0));
+}
+
+// Records the sim time and procedure of every engine.txn event.
+class TxnEventSink : public obs::TraceSink {
+ public:
+  explicit TxnEventSink(std::vector<std::pair<SimTime, int64_t>>* txns)
+      : txns_(txns) {}
+  void Write(const obs::TraceEvent& event) override {
+    if (std::string(event.name()) != "engine.txn") return;
+    for (const obs::TraceEvent::Field& field : event.fields()) {
+      if (std::string(field.key) == "proc") {
+        txns_->emplace_back(event.ts(), field.int_value);
+      }
+    }
+  }
+  Status Close() override { return Status::OK(); }
+
+ private:
+  std::vector<std::pair<SimTime, int64_t>>* txns_;
+};
+
+TEST(WorkloadDriverTest, ArrivalStreamFollowsDocumentedDrawOrder) {
+  // The driver's Rng draws, per constant-rate segment, an exponential
+  // gap, then a request for each arrival before the segment's end
+  // followed by the next gap: gap, request, gap, ..., gap. Slots of
+  // 1.5 s put boundaries inside the ticks [1, 2) and [4, 5), slot 2 is
+  // silent, and end_time (5.25 s) falls inside the last tick. The
+  // submitted stream must equal an independent re-draw in that order.
+#if defined(PSTORE_TRACE_DISABLED)
+  GTEST_SKIP() << "engine.txn events are compiled out";
+#endif
+  constexpr uint64_t kSeed = 31;
+  const std::vector<double> rates = {400.0, 100.0, 0.0, 250.0};
+  const SimTime end = FromSeconds(5.25);
+  b2w::B2wWorkloadOptions wl;
+  wl.cart_pool = 1000;
+  wl.checkout_pool = 500;
+
+  Cluster cluster(OneNodeCluster());
+  TxnExecutor executor(&cluster, nullptr, ExecutorOptions{});
+  ASSERT_TRUE(b2w::RegisterProcedures(&executor).ok());
+  b2w::Workload workload(wl);
+  ASSERT_TRUE(workload.LoadInitialData(&cluster).ok());
+  std::vector<std::pair<SimTime, int64_t>> submitted;
+  obs::Tracer tracer;
+  tracer.SetSink(std::make_unique<TxnEventSink>(&submitted));
+  tracer.Enable(obs::TraceCategory::kVerbose);
+  executor.set_tracer(&tracer);
+  EventLoop loop;
+  DriverOptions options;
+  options.slot_sim_seconds = 1.5;
+  options.rate_factor = 1.0;
+  options.seed = kSeed;
+  WorkloadDriver driver(
+      &loop, &executor, TimeSeries(60.0, rates),
+      [&workload](Rng& rng) { return workload.NextTransaction(rng); },
+      options);
+  driver.Start(end);
+  loop.RunUntil(7 * kSecond);
+
+  // The constant-rate segments: the ticks split at slot boundaries.
+  struct Segment {
+    double start_s;
+    double end_s;
+    double rate;
+  };
+  const Segment segments[] = {
+      {0.0, 1.0, rates[0]}, {1.0, 1.5, rates[0]}, {1.5, 2.0, rates[1]},
+      {2.0, 3.0, rates[1]}, {3.0, 4.0, rates[2]}, {4.0, 4.5, rates[2]},
+      {4.5, 5.0, rates[3]}, {5.0, 6.0, rates[3]}};
+  Rng rng(kSeed);
+  b2w::Workload redraw(wl);
+  std::vector<std::pair<SimTime, int64_t>> expected;
+  for (const Segment& segment : segments) {
+    if (segment.rate <= 0.0) continue;
+    const SimTime limit = std::min(FromSeconds(segment.end_s), end);
+    SimTime t = FromSeconds(segment.start_s) +
+                FromSeconds(rng.NextExponential(1.0 / segment.rate));
+    while (t < limit) {
+      expected.emplace_back(t, redraw.NextTransaction(rng).procedure);
+      t += FromSeconds(rng.NextExponential(1.0 / segment.rate));
+    }
+  }
+  ASSERT_GT(expected.size(), 800u);
+  EXPECT_EQ(driver.arrivals_generated(),
+            static_cast<int64_t>(expected.size()));
+  ASSERT_EQ(submitted.size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    ASSERT_EQ(submitted[i], expected[i]) << "arrival " << i;
+  }
 }
 
 TEST(WorkloadDriverTest, DeterministicReplay) {

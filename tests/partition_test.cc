@@ -211,6 +211,37 @@ TEST(PartitionMonitorTest, HottestBucketIsInsertionOrderIndependent) {
   EXPECT_EQ(a.TotalAccesses(), 0);
 }
 
+// ---- Prefetch -----------------------------------------------------------------
+
+// Prefetch only reads. With no buckets, or with a record whose tables
+// never allocated (RecordAccess makes one), it has no slot array to form
+// a pointer from, and it must not create a record.
+TEST(PartitionPrefetchTest, NoBucketsAndUnallocatedTablesStayUnchanged) {
+  Partition empty;
+  empty.Prefetch(7, 42);
+  EXPECT_FALSE(empty.HasBucket(7));
+  EXPECT_EQ(empty.row_count(), 0);
+
+  Partition p;
+  p.RecordAccess(3);
+  for (uint64_t key = 0; key < 64; ++key) {
+    p.Prefetch(3, key);
+    p.Prefetch(4, key);
+  }
+  EXPECT_TRUE(p.HasBucket(3));
+  EXPECT_FALSE(p.HasBucket(4));
+  EXPECT_EQ(p.row_count(), 0);
+  EXPECT_EQ(p.data_bytes(), 0);
+  EXPECT_EQ(p.TotalAccesses(), 1);
+  for (TableId table = 0; table < kMaxTables; ++table) {
+    EXPECT_EQ(p.Get(3, table, 42), nullptr);
+  }
+
+  RowTable never_allocated;
+  never_allocated.Prefetch(42);
+  EXPECT_EQ(never_allocated.Find(42), nullptr);
+}
+
 // ---- Differential test against a reference model ---------------------------
 
 // What one bucket should hold: rows by (table, key), their payload bytes
@@ -300,7 +331,9 @@ void ExpectMatchesModel(const Partition& p, const Model& model,
 // compared after every step. Insert-heavy and erase-heavy phases
 // alternate, so tables grow through several capacities and then churn;
 // with the colliding keys, erases shift rows back across the wrap from
-// the last slot to the first.
+// the last slot to the first. Prefetch is one of the operations; the
+// bucket hint behind Get, Put and RecordAccess is checked by every
+// comparison, since moves shift the records it points at.
 TEST(PartitionDifferentialTest, RandomOperationsMatchReferenceModel) {
   constexpr BucketId kBuckets = 4;
   constexpr TableId kTables[] = {0, kMaxTables - 1};
@@ -317,7 +350,7 @@ TEST(PartitionDifferentialTest, RandomOperationsMatchReferenceModel) {
     const auto bucket = static_cast<BucketId>(rng.NextUint64(kBuckets));
     const TableId table = kTables[rng.NextUint64(2)];
     const uint64_t key = keys[rng.NextUint64(keys.size())];
-    const uint64_t roll = rng.NextUint64(100);
+    const uint64_t roll = rng.NextUint64(110);
     if (roll < (erasing ? 15u : 45u)) {
       const Row row =
           MakeRow(static_cast<uint32_t>(1 + rng.NextUint64(500)), step);
@@ -369,14 +402,19 @@ TEST(PartitionDifferentialTest, RandomOperationsMatchReferenceModel) {
         partitions[target].InsertBucket(bucket, std::move(moved));
         models[target].emplace(bucket, std::move(data));
       }
-    } else {
+    } else if (roll < 100) {
       p.ResetAccessCounts();
       for (auto& entry : model) entry.second.accesses = 0;
+    } else {
+      // Changes nothing, for a held bucket or not: the full comparison
+      // below must still match and no record may appear.
+      p.Prefetch(bucket, key);
     }
     const auto cap = static_cast<int64_t>(rng.NextUint64(24));
     for (int s = 0; s < 2; ++s) {
       ASSERT_NO_FATAL_FAILURE(ExpectMatchesModel(
-          partitions[s], models[s], kBuckets, cap, step % 50 == 0));
+          partitions[s], models[s], kBuckets, cap,
+          step % 50 == 0 || roll >= 100));
     }
   }
   for (int s = 0; s < 2; ++s) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <fstream>
 #include <string>
 
 #include "common/status.h"
@@ -211,6 +212,47 @@ TEST(TraceIoTest, RoundTrip) {
 
 TEST(TraceIoTest, MissingFileFails) {
   EXPECT_FALSE(LoadTraceCsv("/nonexistent/path/trace.csv").ok());
+}
+
+// Loads `contents` through a temporary file.
+StatusOr<TimeSeries> LoadTraceText(const std::string& contents) {
+  const std::string path = ::testing::TempDir() + "/trace_text.csv";
+  {
+    std::ofstream out(path);
+    out << contents;
+  }
+  StatusOr<TimeSeries> loaded = LoadTraceCsv(path);
+  std::remove(path.c_str());
+  return loaded;
+}
+
+// A NaN slot duration passed the `<= 0` test and CHECK-aborted the
+// capacity simulator later; infinity passed it too.
+TEST(TraceIoTest, RejectsSlotSecondsThatAreNotFiniteAndPositive) {
+  for (const std::string bad : {"nan", "inf", "-inf", "0", "-60"}) {
+    const StatusOr<TimeSeries> loaded =
+        LoadTraceText("# slot_seconds=" + bad + "\nslot,value\n0,100\n");
+    ASSERT_FALSE(loaded.ok()) << bad;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(loaded.status().message().find("line 1"), std::string::npos)
+        << loaded.status().message();
+  }
+}
+
+// Non-finite and negative loads were loaded and simulated silently.
+TEST(TraceIoTest, RejectsLoadsThatAreNotFiniteOrAreNegative) {
+  for (const std::string bad : {"nan", "inf", "-inf", "-1e9", "-0.5"}) {
+    const StatusOr<TimeSeries> loaded = LoadTraceText(
+        "# slot_seconds=60\nslot,value\n0,100\n1," + bad + "\n2,100\n");
+    ASSERT_FALSE(loaded.ok()) << bad;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(loaded.status().message().find("line 4"), std::string::npos)
+        << loaded.status().message();
+  }
+  const StatusOr<TimeSeries> zero =
+      LoadTraceText("# slot_seconds=60\nslot,value\n0,0\n1,-0\n");
+  ASSERT_TRUE(zero.ok()) << zero.status().message();
+  EXPECT_EQ(zero->size(), 2u);
 }
 
 }  // namespace
