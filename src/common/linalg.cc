@@ -93,18 +93,16 @@ StatusOr<std::vector<double>> SolveLinearSystem(const Matrix& a,
   return x;
 }
 
-StatusOr<std::vector<double>> SolveLeastSquares(const Matrix& a,
-                                                const std::vector<double>& b,
-                                                double ridge) {
-  if (a.rows() != b.size()) {
-    return Status::InvalidArgument("SolveLeastSquares: shape mismatch");
-  }
-  if (a.rows() < a.cols()) {
+Status CheckLeastSquaresRows(size_t rows, size_t unknowns) {
+  if (rows < unknowns) {
     return Status::InvalidArgument(
         "SolveLeastSquares: fewer rows than unknowns");
   }
-  Matrix ata = a.TransposeTimesSelf();
-  // Scale the ridge by the matrix magnitude so it is unit-free.
+  return Status::OK();
+}
+
+StatusOr<std::vector<double>> SolveNormalEquations(
+    Matrix ata, const std::vector<double>& atb, double ridge) {
   double diag_max = 0.0;
   for (size_t i = 0; i < ata.rows(); ++i) {
     diag_max = std::max(diag_max, std::abs(ata.At(i, i)));
@@ -113,7 +111,19 @@ StatusOr<std::vector<double>> SolveLeastSquares(const Matrix& a,
   for (size_t i = 0; i < ata.rows(); ++i) {
     ata.At(i, i) += damping;
   }
-  return SolveLinearSystem(ata, a.TransposeTimesVector(b));
+  return SolveLinearSystem(ata, atb);
+}
+
+StatusOr<std::vector<double>> SolveLeastSquares(const Matrix& a,
+                                                const std::vector<double>& b,
+                                                double ridge) {
+  if (a.rows() != b.size()) {
+    return Status::InvalidArgument("SolveLeastSquares: shape mismatch");
+  }
+  const Status rows = CheckLeastSquaresRows(a.rows(), a.cols());
+  if (!rows.ok()) return rows;
+  return SolveNormalEquations(a.TransposeTimesSelf(),
+                              a.TransposeTimesVector(b), ridge);
 }
 
 }  // namespace pstore

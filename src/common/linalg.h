@@ -40,10 +40,22 @@ class Matrix {
 StatusOr<std::vector<double>> SolveLinearSystem(const Matrix& a,
                                                 const std::vector<double>& b);
 
-// Solves the least-squares problem min ||A x - b||_2 via the normal
-// equations with Tikhonov damping `ridge` (>= 0) on the diagonal. The
-// small ridge keeps the solve stable when regressors are collinear, which
-// happens on strongly periodic load traces.
+// kInvalidArgument when a least-squares problem has fewer rows than
+// unknowns; OK otherwise. SolveLeastSquares applies it to A's shape, and
+// a caller that builds the normal equations itself applies it to the
+// rows it summed.
+Status CheckLeastSquaresRows(size_t rows, size_t unknowns);
+
+// Solves the normal equations (A^T A) x = A^T b with Tikhonov damping
+// `ridge` (>= 0) on the diagonal, scaled by the largest diagonal entry so
+// it is unit-free. The small ridge keeps the solve stable when regressors
+// are collinear, which happens on strongly periodic load traces. `ata`
+// is taken by value because the damping is added to it in place.
+StatusOr<std::vector<double>> SolveNormalEquations(
+    Matrix ata, const std::vector<double>& atb, double ridge);
+
+// Solves the least-squares problem min ||A x - b||_2: the normal
+// equations of A^T A and A^T b, solved by SolveNormalEquations.
 StatusOr<std::vector<double>> SolveLeastSquares(const Matrix& a,
                                                 const std::vector<double>& b,
                                                 double ridge = 1e-8);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <iterator>
 #include <map>
@@ -196,6 +197,13 @@ void AppendFormatted(const PredictorSpec& spec, std::string* out) {
   out->push_back(')');
 }
 
+// The least-squares models damp their normal equations by `ridge`, which
+// SolveLeastSquares documents as finite and >= 0.
+Status CheckRidge(const std::string& kind, double ridge) {
+  if (std::isfinite(ridge) && ridge >= 0.0) return Status::OK();
+  return Status::InvalidArgument(kind + " needs a finite ridge >= 0");
+}
+
 Status NoChildren(const PredictorSpec& spec) {
   if (spec.children.empty()) return Status::OK();
   return Status::InvalidArgument("predictor kind '" + spec.kind +
@@ -238,10 +246,13 @@ StatusOr<std::unique_ptr<LoadPredictor>> MakeSpar(
   status = CheckSpecParamsConsumed(spec);
   if (!status.ok()) return status;
   if (options.period == 0 || options.num_periods == 0 ||
-      options.max_tau == 0) {
+      options.num_recent == 0 || options.max_tau == 0 ||
+      options.tau_stride == 0) {
     return Status::InvalidArgument(
-        "spar needs period, n, and max_tau all >= 1");
+        "spar needs period, n, m, max_tau, and tau_stride all >= 1");
   }
+  status = CheckRidge("spar", options.ridge);
+  if (!status.ok()) return status;
   return std::unique_ptr<LoadPredictor>(new SparPredictor(options));
 }
 
@@ -261,6 +272,8 @@ StatusOr<std::unique_ptr<LoadPredictor>> MakeAr(
   if (options.order == 0) {
     return Status::InvalidArgument("ar needs p >= 1");
   }
+  status = CheckRidge("ar", options.ridge);
+  if (!status.ok()) return status;
   return std::unique_ptr<LoadPredictor>(new ArPredictor(options));
 }
 
@@ -300,6 +313,8 @@ StatusOr<std::unique_ptr<LoadPredictor>> MakeArma(
   if (options.long_ar_order < options.ar_order + options.ma_order) {
     return Status::InvalidArgument("arma needs long_ar >= p + q");
   }
+  status = CheckRidge("arma", options.ridge);
+  if (!status.ok()) return status;
   return std::unique_ptr<LoadPredictor>(new ArmaPredictor(options));
 }
 
@@ -381,6 +396,8 @@ StatusOr<std::unique_ptr<LoadPredictor>> MakeMatrixFactorization(
     return Status::InvalidArgument(
         "mf needs period >= 2, rank/iters/lookback >= 1, ridge > 0");
   }
+  status = CheckRidge("mf", options.ridge);
+  if (!status.ok()) return status;
   return std::unique_ptr<LoadPredictor>(
       new MatrixFactorizationPredictor(options));
 }

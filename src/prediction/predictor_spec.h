@@ -84,7 +84,9 @@ std::vector<std::string> RegisteredPredictorKinds();
 //                  cooldown, refit_window, baseline_samples
 //   ensemble       children (default spar,ar,hw), mode=switch|weight,
 //                  epoch, window, floor
-// Unknown kinds and unknown/malformed params are errors.
+// Unknown kinds and unknown/malformed params are errors, as are a
+// spar period, n, m, max_tau or tau_stride of 0 and a ridge that is
+// negative or not finite (mf also rejects a ridge of 0).
 StatusOr<std::unique_ptr<LoadPredictor>> MakePredictor(
     const PredictorSpec& spec, const PredictorContext& context);
 

@@ -86,53 +86,123 @@ size_t SparPredictor::MinHistory() const {
   return options_.num_periods * options_.period + options_.num_recent + 1;
 }
 
+// Builds each fitted tau's normal equations straight from the series,
+// with every Gram and A^T b entry summing the same products, in the same
+// row order and with the same zero-skips, as Matrix::TransposeTimesSelf
+// and TransposeTimesVector over the design matrix
+//   row r:  [y(p - T) .. y(p - nT), dy(t - 1) .. dy(t - m)],  target y(p)
+// with t = nT + m + r and p = t + tau, so the coefficients are the ones
+// SolveLeastSquares would return. Row r's recent offsets depend on t
+// alone, and tau's rows are the prefix r < size - (nT + m + tau), so the
+// recent x recent block (465 of 703 entries at n = 7, m = 30) is one
+// running sum over t, read off at each tau's last row.
 Status SparPredictor::Fit(const TimeSeries& training) {
   const size_t n = options_.num_periods;
   const size_t m = options_.num_recent;
   const size_t period = options_.period;
+  const size_t stride = options_.tau_stride;
   const size_t cols = n + m;
-
-  // dy(idx) is independent of tau; precompute it once for all valid idx.
-  std::vector<double> offsets(training.size(), 0.0);
-  const size_t first_offset_idx = n * period;
-  if (first_offset_idx >= training.size()) {
+  const size_t size = training.size();
+  if (n * period >= size) {
     return Status::InvalidArgument("SPAR: training series too short");
   }
-  for (size_t idx = first_offset_idx; idx < training.size(); ++idx) {
-    offsets[idx] = RecentOffset(training, idx, period, n);
+
+  // The fitted taus 1, 1 + stride, ... whose shapes pass come first. The
+  // first that fails ends them; its error is returned after the taus
+  // before it are solved, so a singular system among those comes first.
+  const size_t first_t = n * period + m;
+  size_t taus = 0;
+  Status shape = Status::OK();
+  for (size_t tau = 1; tau <= options_.max_tau; tau += stride) {
+    if (first_t + tau >= size) {
+      shape = Status::InvalidArgument(
+          "SPAR: training series too short (" + std::to_string(size) +
+          " slots, need > " + std::to_string(first_t + tau) + ")");
+      break;
+    }
+    shape = CheckLeastSquaresRows(size - first_t - tau, cols);
+    if (!shape.ok()) break;
+    ++taus;
+  }
+  if (taus == 0) return shape;
+  // Rows of the q-th fitted tau, 1 + q * stride.
+  const auto rows_of = [&](size_t q) {
+    return size - first_t - 1 - q * stride;
+  };
+
+  // dy(idx) newest first, so row t's offsets dy(t - 1) .. dy(t - m) are
+  // the m values from newest_first[size - t] on.
+  std::vector<double> newest_first(size - n * period);
+  for (size_t idx = n * period; idx < size; ++idx) {
+    newest_first[size - 1 - idx] = RecentOffset(training, idx, period, n);
   }
 
+  // The recent block's running sum (upper triangle of an m x m array),
+  // copied packed into tau q's snapshot after its last row. Larger taus
+  // end sooner, so the snapshots fill from the last q down.
+  const size_t block = m * (m + 1) / 2;
+  std::vector<double> recent_sum(m * m, 0.0);
+  std::vector<double> snapshots(taus * block);
+  size_t pending = taus;
+  for (size_t r = 0; pending > 0; ++r) {
+    const double* recent = &newest_first[size - (first_t + r)];
+    for (size_t a = 0; a < m; ++a) {
+      const double ra = recent[a];
+      if (ra == 0.0) continue;
+      for (size_t b = a; b < m; ++b) recent_sum[a * m + b] += ra * recent[b];
+    }
+    if (rows_of(pending - 1) == r + 1) {
+      double* snapshot = &snapshots[(pending - 1) * block];
+      for (size_t a = 0; a < m; ++a) {
+        for (size_t b = a; b < m; ++b) *snapshot++ = recent_sum[a * m + b];
+      }
+      --pending;
+    }
+  }
+
+  // Per tau: the periodic rows of the Gram (periodic x periodic and
+  // periodic x recent) and A^T b, then the snapshot and the mirror.
+  std::vector<std::vector<double>> solved;
+  solved.reserve(taus);
+  std::vector<double> lags(n);
+  for (size_t q = 0; q < taus; ++q) {
+    const size_t tau = 1 + q * stride;
+    Matrix gram(cols, cols);
+    std::vector<double> atb(cols, 0.0);
+    for (size_t r = 0; r < rows_of(q); ++r) {
+      const size_t t = first_t + r;
+      const size_t p = t + tau;
+      for (size_t k = 1; k <= n; ++k) lags[k - 1] = training[p - k * period];
+      const double* recent = &newest_first[size - t];
+      for (size_t i = 0; i < n; ++i) {
+        const double li = lags[i];
+        if (li == 0.0) continue;
+        for (size_t j = i; j < n; ++j) gram.At(i, j) += li * lags[j];
+        for (size_t b = 0; b < m; ++b) gram.At(i, n + b) += li * recent[b];
+      }
+      const double target = training[p];
+      if (target == 0.0) continue;
+      for (size_t k = 0; k < n; ++k) atb[k] += lags[k] * target;
+      for (size_t b = 0; b < m; ++b) atb[n + b] += recent[b] * target;
+    }
+    const double* snapshot = &snapshots[q * block];
+    for (size_t a = 0; a < m; ++a) {
+      for (size_t b = a; b < m; ++b) gram.At(n + a, n + b) = *snapshot++;
+    }
+    for (size_t i = 0; i < cols; ++i) {
+      for (size_t j = 0; j < i; ++j) gram.At(i, j) = gram.At(j, i);
+    }
+    StatusOr<std::vector<double>> coef =
+        SolveNormalEquations(std::move(gram), atb, options_.ridge);
+    if (!coef.ok()) return coef.status();
+    solved.push_back(std::move(*coef));
+  }
+  if (!shape.ok()) return shape;
+
+  // Commit only now: a failed refit keeps the previous fit.
   coefficients_.assign(options_.max_tau, {});
-  for (size_t tau = 1; tau <= options_.max_tau;
-       tau += options_.tau_stride) {
-    // Predicted index p = t + tau. The features need:
-    //   periodic: p - k*period      >= 0  for k <= n
-    //   recent:   p - tau - j - n*period >= 0  for j <= m
-    const size_t first_p = n * period + m + tau;
-    if (first_p >= training.size()) {
-      return Status::InvalidArgument(
-          "SPAR: training series too short (" +
-          std::to_string(training.size()) + " slots, need > " +
-          std::to_string(first_p) + ")");
-    }
-    const size_t rows = training.size() - first_p;
-    Matrix a(rows, cols);
-    std::vector<double> b(rows);
-    for (size_t r = 0; r < rows; ++r) {
-      const size_t p = first_p + r;
-      for (size_t k = 1; k <= n; ++k) {
-        a.At(r, k - 1) = training[p - k * period];
-      }
-      const size_t t = p - tau;
-      for (size_t j = 1; j <= m; ++j) {
-        a.At(r, n + j - 1) = offsets[t - j];
-      }
-      b[r] = training[p];
-    }
-    StatusOr<std::vector<double>> solved =
-        SolveLeastSquares(a, b, options_.ridge);
-    if (!solved.ok()) return solved.status();
-    coefficients_[tau - 1] = std::move(*solved);
+  for (size_t q = 0; q < taus; ++q) {
+    coefficients_[q * stride] = std::move(solved[q]);
   }
   fitted_ = true;
   return Status::OK();

@@ -138,6 +138,17 @@ StatusOr<TimeSeries> BuildRunTrace(const RunSpec& spec) {
   return BuildWorkloadTrace(workload);
 }
 
+PredictorContext SimPredictorContext(const SimOptions& sim,
+                                     double trace_slot_seconds) {
+  const size_t slots_per_day =
+      static_cast<size_t>(86400.0 / trace_slot_seconds + 0.5);
+  PredictorContext context;
+  context.period = std::max<size_t>(
+      1, slots_per_day / static_cast<size_t>(sim.plan_slot_factor));
+  context.max_tau = static_cast<size_t>(sim.horizon_plan_slots);
+  return context;
+}
+
 StatusOr<SimResult> RunOne(const RunSpec& spec) {
   StatusOr<TimeSeries> trace = BuildRunTrace(spec);
   if (!trace.ok()) return trace.status();
@@ -159,14 +170,9 @@ StatusOr<SimResult> RunOne(const RunSpec& spec) {
       const int factor = spec.sim.plan_slot_factor;
       const TimeSeries coarse =
           trace->DownsampleMean(static_cast<size_t>(factor));
-      const size_t slots_per_day = static_cast<size_t>(
-          86400.0 / trace->slot_seconds() + 0.5);
-      PredictorContext context;
-      context.period =
-          std::max<size_t>(1, slots_per_day / static_cast<size_t>(factor));
-      context.max_tau = static_cast<size_t>(spec.sim.horizon_plan_slots);
-      StatusOr<std::unique_ptr<LoadPredictor>> made =
-          MakePredictor(spec.predictor_spec, context);
+      StatusOr<std::unique_ptr<LoadPredictor>> made = MakePredictor(
+          spec.predictor_spec,
+          SimPredictorContext(spec.sim, trace->slot_seconds()));
       if (!made.ok()) {
         return Status::InvalidArgument("spec '" + spec.label + "': " +
                                        made.status().message());

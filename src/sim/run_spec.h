@@ -11,6 +11,7 @@
 #include "common/time_series.h"
 #include "obs/tracer.h"
 #include "prediction/predictor.h"
+#include "prediction/predictor_spec.h"
 #include "sim/capacity_simulator.h"
 #include "trace/b2w_trace_generator.h"
 #include "trace/spike_injector.h"
@@ -137,6 +138,11 @@ struct RunSpec {
 // Materializes the spec's workload trace, with a nonzero `spec.seed`
 // overriding the seed of whichever generator the workload uses.
 StatusOr<TimeSeries> BuildRunTrace(const RunSpec& spec);
+
+// Context for a spec-built simulator model, as RunOne builds it: period
+// = one day of coarse planning slots, max_tau = the planning horizon.
+PredictorContext SimPredictorContext(const SimOptions& sim,
+                                     double trace_slot_seconds);
 
 // Executes one spec serially: builds the workload trace, constructs the
 // CapacitySimulator and dispatches on the strategy.

@@ -29,6 +29,27 @@ Status SaveTraceCsv(const TimeSeries& trace, const std::string& path) {
   return Status::OK();
 }
 
+namespace {
+
+// True when `field` is a slot number: digits only, read in full.
+bool ParseSlot(const std::string& field, size_t* slot) {
+  if (field.empty() ||
+      field.find_first_not_of("0123456789") != std::string::npos) {
+    return false;
+  }
+  *slot = static_cast<size_t>(std::strtoull(field.c_str(), nullptr, 10));
+  return true;
+}
+
+// True when strtod reads all of `field`.
+bool ParseLoad(const std::string& field, double* value) {
+  char* end = nullptr;
+  *value = std::strtod(field.c_str(), &end);
+  return end != field.c_str() && *end == '\0';
+}
+
+}  // namespace
+
 StatusOr<TimeSeries> LoadTraceCsv(const std::string& path) {
   std::ifstream in(path);
   if (!in.good()) {
@@ -36,6 +57,7 @@ StatusOr<TimeSeries> LoadTraceCsv(const std::string& path) {
   }
   double slot_seconds = 60.0;
   std::vector<double> values;
+  bool header_seen = false;
   std::string line;
   size_t line_number = 0;
   const auto bad_line = [&](const std::string& what) {
@@ -45,6 +67,7 @@ StatusOr<TimeSeries> LoadTraceCsv(const std::string& path) {
   };
   while (std::getline(in, line)) {
     ++line_number;
+    if (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.empty()) continue;
     if (line[0] == '#') {
       const auto pos = line.find("slot_seconds=");
@@ -57,13 +80,25 @@ StatusOr<TimeSeries> LoadTraceCsv(const std::string& path) {
       continue;
     }
     const auto comma = line.find(',');
-    if (comma == std::string::npos) continue;
-    const std::string value_field = line.substr(comma + 1);
-    char* end = nullptr;
-    const double value = std::strtod(value_field.c_str(), &end);
-    if (end == value_field.c_str()) continue;  // header row
+    size_t slot = 0;
+    if (!ParseSlot(line.substr(0, comma), &slot)) {
+      // One header row may come before the first data row.
+      if (values.empty() && !header_seen) {
+        header_seen = true;
+        continue;
+      }
+      return bad_line("expected slot,value");
+    }
+    double value = 0.0;
+    if (comma == std::string::npos ||
+        !ParseLoad(line.substr(comma + 1), &value)) {
+      return bad_line("load is not a number");
+    }
     if (!std::isfinite(value) || value < 0.0) {
       return bad_line("load must be finite and non-negative");
+    }
+    if (slot != values.size()) {
+      return bad_line("expected slot " + std::to_string(values.size()));
     }
     values.push_back(value);
   }

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "common/rng.h"
@@ -140,6 +142,37 @@ TEST(SolveLeastSquaresTest, CollinearColumnsStabilizedByRidge) {
   // The fitted function must still predict well even though individual
   // coefficients are not identifiable.
   EXPECT_NEAR((*coef)[0] + (*coef)[1], 2.0, 1e-3);
+}
+
+// SolveLeastSquares is the normal equations of A^T A and A^T b handed to
+// SolveNormalEquations, bit for bit, with zero entries in A and b.
+TEST(SolveNormalEquationsTest, SolveLeastSquaresIsItsNormalEquations) {
+  Rng rng(11);
+  const size_t rows = 200;
+  const size_t cols = 7;
+  Matrix a(rows, cols);
+  std::vector<double> b(rows);
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t c = 0; c < cols; ++c) {
+      a.At(r, c) = (r + c) % 5 == 0 ? 0.0 : rng.NextDouble(-3.0, 3.0);
+    }
+    b[r] = r % 4 == 0 ? 0.0 : rng.NextDouble(-10.0, 10.0);
+  }
+  for (const double ridge : {0.0, 1e-8, 1e-2}) {
+    const StatusOr<std::vector<double>> least =
+        SolveLeastSquares(a, b, ridge);
+    const StatusOr<std::vector<double>> normal = SolveNormalEquations(
+        a.TransposeTimesSelf(), a.TransposeTimesVector(b), ridge);
+    ASSERT_TRUE(least.ok());
+    ASSERT_TRUE(normal.ok());
+    ASSERT_EQ(least->size(), cols);
+    ASSERT_EQ(normal->size(), cols);
+    for (size_t c = 0; c < cols; ++c) {
+      EXPECT_EQ(std::bit_cast<uint64_t>((*least)[c]),
+                std::bit_cast<uint64_t>((*normal)[c]))
+          << "ridge " << ridge << ", x[" << c << "]";
+    }
+  }
 }
 
 }  // namespace

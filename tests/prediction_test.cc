@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/linalg.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/time_series.h"
@@ -220,6 +223,222 @@ TEST(SparTest, PredictHorizonMatchesLoopPastOnePeriod) {
   const StatusOr<std::vector<double>> past =
       spar.PredictHorizon(series, 9);
   EXPECT_EQ(past.status().code(), StatusCode::kInvalidArgument);
+}
+
+// ---- SPAR fit against the design-matrix reference ---------------------------
+
+// The SPAR fit as a design matrix per fitted tau, solved by
+// SolveLeastSquares. Fit builds the same normal equations from the series
+// and must return the same coefficients bit for bit, or the same first
+// error: slot [tau - 1] holds tau's coefficients, empty for skipped taus.
+StatusOr<std::vector<std::vector<double>>> ReferenceSparFit(
+    const SparOptions& options, const TimeSeries& training) {
+  const size_t n = options.num_periods;
+  const size_t m = options.num_recent;
+  const size_t period = options.period;
+  const size_t cols = n + m;
+  std::vector<double> offsets(training.size(), 0.0);
+  const size_t first_offset_idx = n * period;
+  if (first_offset_idx >= training.size()) {
+    return Status::InvalidArgument("SPAR: training series too short");
+  }
+  for (size_t idx = first_offset_idx; idx < training.size(); ++idx) {
+    double periodic_mean = 0.0;
+    for (size_t k = 1; k <= n; ++k) periodic_mean += training[idx - k * period];
+    periodic_mean /= static_cast<double>(n);
+    offsets[idx] = training[idx] - periodic_mean;
+  }
+  std::vector<std::vector<double>> coefficients(options.max_tau);
+  for (size_t tau = 1; tau <= options.max_tau; tau += options.tau_stride) {
+    const size_t first_p = n * period + m + tau;
+    if (first_p >= training.size()) {
+      return Status::InvalidArgument(
+          "SPAR: training series too short (" +
+          std::to_string(training.size()) + " slots, need > " +
+          std::to_string(first_p) + ")");
+    }
+    const size_t rows = training.size() - first_p;
+    Matrix a(rows, cols);
+    std::vector<double> b(rows);
+    for (size_t r = 0; r < rows; ++r) {
+      const size_t p = first_p + r;
+      for (size_t k = 1; k <= n; ++k) a.At(r, k - 1) = training[p - k * period];
+      for (size_t j = 1; j <= m; ++j) {
+        a.At(r, n + j - 1) = offsets[p - tau - j];
+      }
+      b[r] = training[p];
+    }
+    StatusOr<std::vector<double>> solved =
+        SolveLeastSquares(a, b, options.ridge);
+    if (!solved.ok()) return solved.status();
+    coefficients[tau - 1] = std::move(*solved);
+  }
+  return coefficients;
+}
+
+uint64_t Bits(double value) { return std::bit_cast<uint64_t>(value); }
+
+// Fits `training` both ways and compares the Status, then every fitted
+// tau's coefficients bitwise.
+void ExpectFitMatchesReference(const SparOptions& options,
+                               const TimeSeries& training) {
+  SCOPED_TRACE("n " + std::to_string(options.num_periods) + ", m " +
+               std::to_string(options.num_recent) + ", max_tau " +
+               std::to_string(options.max_tau) + ", stride " +
+               std::to_string(options.tau_stride) + ", size " +
+               std::to_string(training.size()));
+  SparPredictor spar(options);
+  const Status fit = spar.Fit(training);
+  const StatusOr<std::vector<std::vector<double>>> reference =
+      ReferenceSparFit(options, training);
+  ASSERT_EQ(fit.code(), reference.status().code());
+  ASSERT_EQ(fit.message(), reference.status().message());
+  if (!fit.ok()) return;
+  size_t words = 0;
+  for (size_t tau = 1; tau <= options.max_tau; tau += options.tau_stride) {
+    const std::vector<double>& expected = (*reference)[tau - 1];
+    const std::vector<double>& actual = spar.CoefficientsFor(tau);
+    ASSERT_EQ(actual.size(), expected.size()) << "tau " << tau;
+    for (size_t c = 0; c < expected.size(); ++c, ++words) {
+      EXPECT_EQ(Bits(actual[c]), Bits(expected[c]))
+          << "tau " << tau << ", coefficient " << c;
+    }
+  }
+  EXPECT_GT(words, 0u);
+}
+
+// Zeroes every `every`-th slot, so that lags, offsets and targets hit the
+// zero-skips of the Gram and A^T b sums.
+TimeSeries WithZeros(TimeSeries series, size_t every) {
+  for (size_t i = 0; i < series.size(); i += every) series[i] = 0.0;
+  return series;
+}
+
+// Zeroes periods 4 to 6 of a period-48 series: the recent offsets are
+// then exactly 0 in periods 5 and 6 for n = 1, so the shared recent block
+// skips whole rows.
+TimeSeries WithIdlePeriods(TimeSeries series) {
+  for (size_t i = 4 * 48; i < 7 * 48; ++i) series[i] = 0.0;
+  return series;
+}
+
+TEST(SparFitDifferentialTest, SmallShapesMatchDesignMatrixBitwise) {
+  for (const uint64_t seed : {7u, 42u, 101u}) {
+    const TimeSeries noisy = PeriodicSeries(12, 0.05, seed);
+    for (const TimeSeries& series :
+         {noisy, WithZeros(noisy, 7), WithIdlePeriods(noisy)}) {
+      for (const size_t n : {size_t{1}, size_t{3}}) {
+        for (const size_t m : {size_t{1}, size_t{6}}) {
+          // max_tau below and above the 48-slot period.
+          for (const size_t max_tau : {size_t{8}, size_t{70}}) {
+            for (const size_t stride : {size_t{1}, size_t{5}}) {
+              SparOptions options = SmallSpar(max_tau);
+              options.num_periods = n;
+              options.num_recent = m;
+              options.tau_stride = stride;
+              ExpectFitMatchesReference(options, series);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// The production shape (n = 7, m = 30) on nine days of minutes, as
+// generated and with every 97th slot set to 0.
+TEST(SparFitDifferentialTest, B2wShapesMatchDesignMatrixBitwise) {
+  B2wTraceOptions trace_options;
+  trace_options.days = 9;
+  trace_options.seed = 42;
+  const TimeSeries trace = GenerateB2wTrace(trace_options);
+  for (const TimeSeries& series : {trace, WithZeros(trace, 97)}) {
+    SparOptions options;
+    options.period = 1440;
+    options.num_periods = 7;
+    options.num_recent = 30;
+    options.max_tau = 240;
+    options.tau_stride = 5;
+    ExpectFitMatchesReference(options, series);
+    options.max_tau = 60;
+    options.tau_stride = 1;
+    ExpectFitMatchesReference(options, series);
+  }
+}
+
+// Each error comes first at the same tau as in the reference: the series
+// too short for any offset, too short for a tau, fewer rows than
+// unknowns, and a singular system.
+TEST(SparFitDifferentialTest, ErrorsComeInTheReferenceOrder) {
+  const TimeSeries series = PeriodicSeries(12, 0.05, 7);
+  const SparOptions small = SmallSpar(8);  // n*T = 144, m = 6, 9 unknowns
+  const auto expect_error = [&](const SparOptions& options, size_t size,
+                                const std::string& message) {
+    SparPredictor spar(options);
+    const Status fit = spar.Fit(series.Slice(0, size));
+    EXPECT_EQ(fit.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(fit.message().find(message), std::string::npos)
+        << fit.message();
+    ExpectFitMatchesReference(options, series.Slice(0, size));
+  };
+  // No offset at all, then no row for tau 1.
+  expect_error(small, 144, "SPAR: training series too short");
+  expect_error(small, 151, "too short (151 slots, need > 151)");
+  // Tau 1 has 5 rows for its 9 unknowns; then taus 1 and 2 have 10 and 9
+  // rows, and tau 3 has 8.
+  expect_error(small, 156, "fewer rows than unknowns");
+  SparOptions wide = small;
+  wide.max_tau = 20;
+  expect_error(wide, 161, "fewer rows than unknowns");
+  // A stride wider than the unknowns jumps from 14 rows to none.
+  wide.max_tau = 30;
+  wide.tau_stride = 20;
+  expect_error(wide, 165, "too short (165 slots, need > 171)");
+
+  // Singular at tau 4, before the shape fails at tau 70: with n = m = 1
+  // on a noiseless period-8 series, dy is 0 except at slot 75, which
+  // only the rows of taus 1..3 reach. With no ridge, every later tau's
+  // recent column is all zero.
+  TimeSeries periodic = PeriodicSeries(10, 0.0, 1, 8);
+  periodic[75] += 5.0;
+  SparOptions singular;
+  singular.period = 8;
+  singular.num_periods = 1;
+  singular.num_recent = 1;
+  singular.max_tau = 70;
+  singular.ridge = 0.0;
+  SparPredictor spar(singular);
+  const Status fit = spar.Fit(periodic);
+  EXPECT_EQ(fit.code(), StatusCode::kFailedPrecondition) << fit.message();
+  ExpectFitMatchesReference(singular, periodic);
+  singular.max_tau = 3;
+  ExpectFitMatchesReference(singular, periodic);
+}
+
+// A refit that fails keeps the previous fit: its forecasts stay the same
+// to the bit. OnlinePredictor, the shift-aware wrapper and the backtest's
+// refit epochs rely on this.
+TEST(SparTest, FailedRefitKeepsThePreviousFit) {
+  SparPredictor spar(SmallSpar());
+  const TimeSeries series = PeriodicSeries(10, 0.01, 2);
+  ASSERT_TRUE(spar.Fit(series).ok());
+  std::vector<double> before;
+  for (size_t tau = 1; tau <= 8; ++tau) {
+    const StatusOr<double> prediction = spar.PredictAhead(series, tau);
+    ASSERT_TRUE(prediction.ok());
+    before.push_back(*prediction);
+  }
+  // 3 * 48 + 8 slots leave tau 1 one row for nine unknowns.
+  const Status refit = spar.Fit(series.Slice(0, 3 * 48 + 8));
+  ASSERT_FALSE(refit.ok());
+  EXPECT_NE(refit.message().find("fewer rows than unknowns"),
+            std::string::npos)
+      << refit.message();
+  for (size_t tau = 1; tau <= 8; ++tau) {
+    const StatusOr<double> prediction = spar.PredictAhead(series, tau);
+    ASSERT_TRUE(prediction.ok()) << prediction.status().message();
+    EXPECT_EQ(Bits(*prediction), Bits(before[tau - 1])) << "tau " << tau;
+  }
 }
 
 // ---- AR ---------------------------------------------------------------------

@@ -132,6 +132,31 @@ TEST(PredictorSpecTest, MakeRejectsBadSpecs) {
   EXPECT_FALSE(MakePredictor("shift(spar,ar)", context).ok());
 }
 
+// spar(m=0) and spar(tau_stride=0) used to build and then CHECK-abort
+// in SparPredictor's constructor; a negative or non-finite ridge used to
+// run, though SolveLeastSquares documents ridge >= 0.
+TEST(PredictorSpecTest, RejectsZeroSparShapesAndBadRidges) {
+  const PredictorContext context = SmallContext();
+  std::vector<std::string> bad = {"spar(m=0)", "spar(tau_stride=0)"};
+  for (const std::string kind : {"spar", "ar", "arma", "mf"}) {
+    for (const std::string ridge : {"-1", "-1e-300", "nan", "inf", "-inf"}) {
+      bad.push_back(kind + "(ridge=" + ridge + ")");
+    }
+  }
+  bad.push_back("mf(ridge=0)");
+  for (const std::string& spec : bad) {
+    const StatusOr<std::unique_ptr<LoadPredictor>> made =
+        MakePredictor(spec, context);
+    ASSERT_FALSE(made.ok()) << spec;
+    EXPECT_EQ(made.status().code(), StatusCode::kInvalidArgument) << spec;
+  }
+  for (const std::string spec :
+       {"spar(m=1,tau_stride=1,ridge=0)", "ar(ridge=0)", "arma(ridge=0)",
+        "mf(ridge=1e-6)"}) {
+    EXPECT_TRUE(MakePredictor(spec, context).ok()) << spec;
+  }
+}
+
 TEST(PredictorSpecTest, RegistryBuildsEveryKind) {
   const PredictorContext context = SmallContext();
   const TimeSeries series = PeriodicSeries(10, 0.01, 3);

@@ -255,5 +255,50 @@ TEST(TraceIoTest, RejectsLoadsThatAreNotFiniteOrAreNegative) {
   EXPECT_EQ(zero->size(), 2u);
 }
 
+// A row that did not parse was skipped as if it were a header, and strtod
+// took "12xyz" as 12, so this file loaded as four slots 100 200 400 12.
+TEST(TraceIoTest, RejectsRowsThatDoNotParseInFull) {
+  const StatusOr<TimeSeries> abc =
+      LoadTraceText("slot,value\n0,100\n1,200\n2,abc\n3,400\n4,12xyz\n");
+  ASSERT_FALSE(abc.ok());
+  EXPECT_EQ(abc.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(abc.status().message().find("line 4"), std::string::npos)
+      << abc.status().message();
+  const StatusOr<TimeSeries> xyz =
+      LoadTraceText("slot,value\n0,100\n1,200\n2,300\n3,400\n4,12xyz\n");
+  ASSERT_FALSE(xyz.ok());
+  EXPECT_NE(xyz.status().message().find("line 6"), std::string::npos)
+      << xyz.status().message();
+  // Only one header, and only before the first data row.
+  for (const std::string bad :
+       {"slot,value\nslot,value\n0,1\n", "slot,value\n0,1\nslot,value\n",
+        "0,1\n1\n", "0,1\n1,\n", "0,1\n+1,2\n", "0,1\n 1,2\n"}) {
+    const StatusOr<TimeSeries> loaded = LoadTraceText(bad);
+    ASSERT_FALSE(loaded.ok()) << bad;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+}
+
+// The slot column was never read: a skipped or repeated slot loaded as
+// if the rows were consecutive.
+TEST(TraceIoTest, RejectsSlotsThatDoNotCountUpFromZero) {
+  for (const std::string bad : {"slot,value\n0,100\n1,200\n3,300\n",
+                                "slot,value\n1,100\n",
+                                "slot,value\n0,100\n0,200\n"}) {
+    const StatusOr<TimeSeries> loaded = LoadTraceText(bad);
+    ASSERT_FALSE(loaded.ok()) << bad;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(loaded.status().message().find("expected slot"),
+              std::string::npos)
+        << loaded.status().message();
+  }
+  // Without a header, with CRLF line ends and blank lines, it loads.
+  const StatusOr<TimeSeries> plain =
+      LoadTraceText("0,100\r\n\n1,2.5e2\r\n# note\n2,0\n");
+  ASSERT_TRUE(plain.ok()) << plain.status().message();
+  ASSERT_EQ(plain->size(), 3u);
+  EXPECT_EQ((*plain)[1], 250.0);
+}
+
 }  // namespace
 }  // namespace pstore

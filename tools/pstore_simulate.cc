@@ -50,6 +50,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <limits>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -60,6 +61,7 @@
 #include "fault/fault_schedule.h"
 #include "obs/metrics_registry.h"
 #include "obs/tracer.h"
+#include "prediction/predictor.h"
 #include "prediction/predictor_spec.h"
 #include "sim/capacity_simulator.h"
 #include "sim/run_spec.h"
@@ -234,14 +236,16 @@ int main(int argc, char** argv) {
       SplitCommaList(strategy_flag);
   if (strategy_names.empty()) return Fail("--strategy lists no strategy");
 
-  // Predictor spec for kPredictive runs; validated up front so a typo
-  // fails before any strategy runs. RunOne materializes and fits one
-  // instance per predictive task (see RunSpec::predictor_spec).
+  // Predictor spec for kPredictive runs; built up front with RunOne's
+  // context so a typo or an out-of-range knob fails before any strategy
+  // runs. RunOne materializes and fits one instance per predictive task
+  // (see RunSpec::predictor_spec).
   {
-    const StatusOr<PredictorSpec> spec_check =
-        ParsePredictorSpec(predictor_spec);
-    if (!spec_check.ok()) {
-      return Fail("--predictor: " + spec_check.status().ToString());
+    const StatusOr<std::unique_ptr<LoadPredictor>> model_check =
+        MakePredictor(predictor_spec,
+                      SimPredictorContext(options, slot_seconds));
+    if (!model_check.ok()) {
+      return Fail("--predictor: " + model_check.status().ToString());
     }
   }
 
