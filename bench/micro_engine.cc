@@ -1,7 +1,8 @@
 // Microbenchmarks for the simulated engine: transaction submission
 // throughput (the hot path of every experiment, inline from
 // WorkloadDriver::Tick) with and without a tracer attached, key hashing,
-// the transaction factory alone, and bucket handoff.
+// the transaction factory alone, YCSB's Zipf key draw, and bucket
+// handoff.
 
 #include <benchmark/benchmark.h>
 
@@ -13,6 +14,7 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "common/sim_time.h"
+#include "common/zipf.h"
 #include "engine/cluster.h"
 #include "engine/metrics.h"
 #include "engine/murmur_hash.h"
@@ -111,6 +113,23 @@ void BM_TxnFactoryOnly(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TxnFactoryOnly);
+
+// One key draw from ycsb_skew_32n's generator (1 M records) at theta =
+// state.range(0) / 100. A draw reads the 8 MB CDF only near its head or
+// when the model cannot decide; in this loop even a full search of it
+// would hit a warm cache, which the engine's rows evict, so the loop
+// understates what a draw saves inside the engine (DESIGN.md, "Zipf
+// draws").
+void BM_ZipfNextKey(benchmark::State& state) {
+  const ZipfGenerator zipf(1000000,
+                           static_cast<double>(state.range(0)) / 100.0);
+  Rng rng(1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(zipf.NextKey(rng));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ZipfNextKey)->Arg(60)->Arg(99)->Arg(120);
 
 void BM_BucketHandoff(benchmark::State& state) {
   Cluster cluster(BenchCluster());

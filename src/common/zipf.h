@@ -2,6 +2,7 @@
 #define PSTORE_COMMON_ZIPF_H_
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/rng.h"
@@ -10,11 +11,12 @@ namespace pstore {
 
 // Zipf-distributed sampler over [0, n): rank r is drawn with probability
 // proportional to 1 / (r+1)^theta. theta = 0 is uniform; theta ~ 0.99 is
-// the classic YCSB default; larger is more skewed. Uses the
-// precomputed-CDF + binary-search method (O(n) setup), which is exact.
-// A guide table splits [0, 1] into 2^16 equal slices and records the
-// first rank of each, so a draw searches only the few ranks its slice
-// spans instead of the whole CDF.
+// the classic YCSB default; larger is more skewed. Exact: a draw's rank is
+// the first whose entry in the precomputed CDF is >= the uniform value
+// (O(n) setup). A closed-form model of the CDF proposes that rank and,
+// where its measured error cannot change the answer, certifies it without
+// reading the CDF; the first few hundred ranks and undecided draws search
+// the CDF from the proposal (DESIGN.md, "Zipf draws").
 //
 // Hot ranks are scattered over the key space by a multiplicative hash so
 // that "popular" keys do not cluster in contiguous buckets.
@@ -40,11 +42,29 @@ class ZipfGenerator {
   const std::vector<double>& cdf() const { return cdf_; }
 
  private:
+  // The model's values for cdf_[r - 1] and cdf_[r], from r and its
+  // summand 1 / (r+1)^theta.
+  struct ModelPair {
+    double below;
+    double above;
+  };
+  ModelPair Model(uint64_t r, double summand) const;
+  // The first rank whose cdf_ entry is >= u, searched outward from start.
+  uint64_t SearchFrom(uint64_t start, double u) const;
+
   uint64_t n_;
   double theta_;
   std::vector<double> cdf_;
-  // guide_[j]: the first rank whose cdf is >= j / 2^16, for j in [0, 2^16].
-  std::vector<uint32_t> guide_;
+  // The model: (Euler-Maclaurin sum + constant_) * inv_total_, where
+  // total_ is the unnormalised CDF's last entry.
+  double total_ = 1.0;
+  double inv_total_ = 1.0;
+  double constant_ = 0.0;
+  double inv_one_minus_theta_ = 1.0;  // unused at theta == 1
+  // The model's largest distance from cdf_ over the ranks RankOf
+  // certifies, plus a rounding margin; infinite when that distance is too
+  // large (or NaN) to certify anything.
+  double epsilon_ = std::numeric_limits<double>::infinity();
 };
 
 }  // namespace pstore

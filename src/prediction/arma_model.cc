@@ -17,13 +17,13 @@ ArmaPredictor::ArmaPredictor(const ArmaOptions& options) : options_(options) {
                options_.ar_order + options_.ma_order);
 }
 
-double ArmaPredictor::LongArResidual(const TimeSeries& series,
-                                     size_t idx) const {
-  const size_t lag = options_.long_ar_order;
+double ArmaPredictor::LongArResidual(const std::vector<double>& long_ar,
+                                     const TimeSeries& series, size_t idx) {
+  const size_t lag = long_ar.size() - 1;
   PSTORE_CHECK(idx >= lag);
-  double fitted = long_ar_[0];
+  double fitted = long_ar[0];
   for (size_t i = 1; i <= lag; ++i) {
-    fitted += long_ar_[i] * series[idx - i];
+    fitted += long_ar[i] * series[idx - i];
   }
   return series[idx] - fitted;
 }
@@ -36,7 +36,10 @@ Status ArmaPredictor::Fit(const TimeSeries& training) {
     return Status::InvalidArgument("ARMA: training series too short");
   }
 
+  // Both stages solve into locals and commit together at the end, so a
+  // refit that fails in either stage keeps the previous fit.
   // Stage 1: long auto-regression for innovation estimates.
+  std::vector<double> long_ar;
   {
     const size_t rows = training.size() - lag;
     Matrix a(rows, lag + 1);
@@ -52,16 +55,17 @@ Status ArmaPredictor::Fit(const TimeSeries& training) {
     StatusOr<std::vector<double>> solved =
         SolveLeastSquares(a, b, options_.ridge);
     if (!solved.ok()) return solved.status();
-    long_ar_ = std::move(*solved);
+    long_ar = std::move(*solved);
   }
 
   // Residuals for all indices where the long AR is defined.
   std::vector<double> eps(training.size(), 0.0);
   for (size_t idx = lag; idx < training.size(); ++idx) {
-    eps[idx] = LongArResidual(training, idx);
+    eps[idx] = LongArResidual(long_ar, training, idx);
   }
 
   // Stage 2: regress y(t) on AR lags and innovation lags.
+  std::vector<double> coefficients;
   {
     const size_t first = lag + q;  // eps lags must be defined
     const size_t rows = training.size() - first;
@@ -81,8 +85,10 @@ Status ArmaPredictor::Fit(const TimeSeries& training) {
     StatusOr<std::vector<double>> solved =
         SolveLeastSquares(a, b, options_.ridge);
     if (!solved.ok()) return solved.status();
-    coefficients_ = std::move(*solved);
+    coefficients = std::move(*solved);
   }
+  long_ar_ = std::move(long_ar);
+  coefficients_ = std::move(coefficients);
   fitted_ = true;
   return Status::OK();
 }
@@ -110,7 +116,8 @@ StatusOr<std::vector<double>> ArmaPredictor::PredictHorizon(
   // Estimated innovations for the last q observed slots (oldest first).
   std::vector<double> eps_window(q);
   for (size_t j = 0; j < q; ++j) {
-    eps_window[j] = LongArResidual(history, history.size() - q + j);
+    eps_window[j] =
+        LongArResidual(long_ar_, history, history.size() - q + j);
   }
   // Most recent p observations (oldest first).
   std::vector<double> y_window(p);

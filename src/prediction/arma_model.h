@@ -39,8 +39,10 @@ class ArmaPredictor : public LoadPredictor {
   std::string name() const override { return "ARMA"; }
 
  private:
-  // Residual of the long AR model at index `idx` of `series`.
-  double LongArResidual(const TimeSeries& series, size_t idx) const;
+  // Residual at index `idx` of `series` of the long AR model with
+  // coefficients `long_ar` ([c, phi_1..phi_L]).
+  static double LongArResidual(const std::vector<double>& long_ar,
+                               const TimeSeries& series, size_t idx);
 
   ArmaOptions options_;
   bool fitted_ = false;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <utility>
+#include <vector>
 
 #include "common/logging.h"
 #include "common/status.h"
@@ -38,19 +39,26 @@ Status EnsemblePredictor::Fit(const TimeSeries& training) {
   if (members_.empty()) {
     return Status::FailedPrecondition("ensemble has no members");
   }
+  // A member whose Fit fails keeps its previous fit, so when every one
+  // fails the ensemble keeps its own state too.
+  std::vector<bool> fitted(members_.size());
   size_t fitted_members = 0;
-  for (Member& member : members_) {
-    member.fitted = member.model->Fit(training).ok();
+  for (size_t i = 0; i < members_.size(); ++i) {
+    fitted[i] = members_[i].model->Fit(training).ok();
+    if (fitted[i]) ++fitted_members;
+  }
+  if (fitted_members == 0) {
+    return Status::FailedPrecondition(
+        "no ensemble member could fit the training series");
+  }
+  for (size_t i = 0; i < members_.size(); ++i) {
+    Member& member = members_[i];
+    member.fitted = fitted[i];
     member.window.Reset();
     member.has_pending = false;
     member.weight = 0.0;
     member.score = 0.0;
     member.has_score = false;
-    if (member.fitted) ++fitted_members;
-  }
-  if (fitted_members == 0) {
-    return Status::FailedPrecondition(
-        "no ensemble member could fit the training series");
   }
   // Initial scores: walk-forward one-step backtest over the tail of the
   // training window, so the first served forecast already comes from the

@@ -204,6 +204,18 @@ Status CheckRidge(const std::string& kind, double ridge) {
   return Status::InvalidArgument(kind + " needs a finite ridge >= 0");
 }
 
+// hw's smoothing factors are weights in [0, 1]; a factor left out is
+// found by grid search.
+Status ConsumeSmoothingFactor(PredictorSpec* spec, const std::string& key,
+                              double* factor) {
+  const StatusOr<bool> given = ConsumeSpecParam(spec, key, factor);
+  if (!given.ok()) return given.status();
+  if (*given && !(*factor >= 0.0 && *factor <= 1.0)) {
+    return Status::InvalidArgument("hw needs " + key + " in [0, 1]");
+  }
+  return Status::OK();
+}
+
 Status NoChildren(const PredictorSpec& spec) {
   if (spec.children.empty()) return Status::OK();
   return Status::InvalidArgument("predictor kind '" + spec.kind +
@@ -326,13 +338,13 @@ StatusOr<std::unique_ptr<LoadPredictor>> MakeHoltWinters(
   options.period = context.period;
   status = ConsumeSpecParam(&spec, "period", &options.period).status();
   if (status.ok()) {
-    status = ConsumeSpecParam(&spec, "alpha", &options.alpha).status();
+    status = ConsumeSmoothingFactor(&spec, "alpha", &options.alpha);
   }
   if (status.ok()) {
-    status = ConsumeSpecParam(&spec, "beta", &options.beta).status();
+    status = ConsumeSmoothingFactor(&spec, "beta", &options.beta);
   }
   if (status.ok()) {
-    status = ConsumeSpecParam(&spec, "gamma", &options.gamma).status();
+    status = ConsumeSmoothingFactor(&spec, "gamma", &options.gamma);
   }
   if (!status.ok()) return status;
   status = CheckSpecParamsConsumed(spec);

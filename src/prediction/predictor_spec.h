@@ -75,7 +75,8 @@ std::vector<std::string> RegisteredPredictorKinds();
 //                  ridge
 //   ar             p (order), ridge
 //   arma           p, q, long_ar, ridge
-//   hw             period, alpha, beta, gamma   (holt_winters alias)
+//   hw             period, alpha, beta, gamma   (holt_winters alias;
+//                  each factor in [0, 1], grid-searched when left out)
 //   seasonal_naive period                       (naive alias)
 //   last_value     —
 //   mf             period, rank, iters, ridge, lookback
@@ -85,8 +86,9 @@ std::vector<std::string> RegisteredPredictorKinds();
 //   ensemble       children (default spar,ar,hw), mode=switch|weight,
 //                  epoch, window, floor
 // Unknown kinds and unknown/malformed params are errors, as are a
-// spar period, n, m, max_tau or tau_stride of 0 and a ridge that is
-// negative or not finite (mf also rejects a ridge of 0).
+// spar period, n, m, max_tau or tau_stride of 0, a ridge that is
+// negative or not finite (mf also rejects a ridge of 0), and an hw
+// smoothing factor outside [0, 1].
 StatusOr<std::unique_ptr<LoadPredictor>> MakePredictor(
     const PredictorSpec& spec, const PredictorContext& context);
 

@@ -1,10 +1,18 @@
 #include "prediction/spar_model.h"
 
+#include <charconv>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <system_error>
+#include <utility>
+#include <vector>
 
 #include "common/linalg.h"
 #include "common/logging.h"
@@ -55,6 +63,19 @@ bool PeriodicLagsObserved(size_t t, size_t p, size_t period, size_t n) {
   return p >= n * period && p - period <= t;
 }
 
+// Parses all of `token` as a decimal size_t (no sign, no trailing text).
+bool ParseSize(const std::string& token, size_t* out) {
+  const char* end = token.data() + token.size();
+  const std::from_chars_result parsed =
+      std::from_chars(token.data(), end, *out);
+  return parsed.ec == std::errc() && parsed.ptr == end;
+}
+
+Status MissingTau(size_t tau, const std::string& path) {
+  return Status::InvalidArgument("missing coefficients for tau " +
+                                 std::to_string(tau) + " in " + path);
+}
+
 Status UnobservedLag() {
   return Status::InvalidArgument(
       "SPAR: tau exceeds one period; periodic lag unobserved");
@@ -70,14 +91,12 @@ SparPredictor::SparPredictor(const SparOptions& options) : options_(options) {
   PSTORE_CHECK(options_.tau_stride >= 1);
 }
 
-size_t SparPredictor::FittedTauFor(size_t tau) const {
-  if (options_.tau_stride == 1) return tau;
+size_t SparPredictor::FittedIndexFor(size_t tau) const {
+  if (options_.tau_stride == 1) return tau - 1;
   // Fitted taus are 1, 1+stride, 1+2*stride, ...; snap to the nearest.
   const size_t stride = options_.tau_stride;
   const size_t index = (tau - 1 + stride / 2) / stride;
-  size_t fitted = 1 + index * stride;
-  if (fitted > options_.max_tau) fitted -= stride;
-  return fitted;
+  return 1 + index * stride <= options_.max_tau ? index : index - 1;
 }
 
 size_t SparPredictor::MinHistory() const {
@@ -200,10 +219,7 @@ Status SparPredictor::Fit(const TimeSeries& training) {
   if (!shape.ok()) return shape;
 
   // Commit only now: a failed refit keeps the previous fit.
-  coefficients_.assign(options_.max_tau, {});
-  for (size_t q = 0; q < taus; ++q) {
-    coefficients_[q * stride] = std::move(solved[q]);
-  }
+  coefficients_ = std::move(solved);
   fitted_ = true;
   return Status::OK();
 }
@@ -219,7 +235,7 @@ StatusOr<double> SparPredictor::PredictAhead(const TimeSeries& history,
   }
   const size_t n = options_.num_periods;
   const size_t period = options_.period;
-  const std::vector<double>& coef = coefficients_[FittedTauFor(tau) - 1];
+  const std::vector<double>& coef = coefficients_[FittedIndexFor(tau)];
   PSTORE_CHECK(!coef.empty());
 
   // "Now" is the last observed index; the predicted index is t + tau.
@@ -254,7 +270,7 @@ StatusOr<std::vector<double>> SparPredictor::PredictHorizon(
   out.reserve(horizon);
   for (size_t tau = 1; tau <= horizon; ++tau) {
     if (tau > options_.max_tau) return TauOutOfRange(tau, options_.max_tau);
-    const std::vector<double>& coef = coefficients_[FittedTauFor(tau) - 1];
+    const std::vector<double>& coef = coefficients_[FittedIndexFor(tau)];
     PSTORE_CHECK(!coef.empty());
     const size_t p = t + tau;
     if (!PeriodicLagsObserved(t, p, period, n)) return UnobservedLag();
@@ -277,11 +293,9 @@ Status SparPredictor::SaveToFile(const std::string& path) const {
       << options_.num_recent << ' ' << options_.max_tau << ' '
       << options_.tau_stride << '\n';
   char buf[32];
-  for (size_t tau = 1; tau <= options_.max_tau; ++tau) {
-    const std::vector<double>& coef = coefficients_[tau - 1];
-    if (coef.empty()) continue;  // skipped by tau_stride
-    out << tau;
-    for (const double c : coef) {
+  for (size_t q = 0; q < coefficients_.size(); ++q) {
+    out << 1 + q * options_.tau_stride;
+    for (const double c : coefficients_[q]) {
       // Hex floats round-trip exactly.
       std::snprintf(buf, sizeof(buf), " %a", c);
       out << buf;
@@ -307,8 +321,18 @@ StatusOr<SparPredictor> SparPredictor::LoadFromFile(const std::string& path) {
       return Status::InvalidArgument("truncated model header: " + path);
     }
     std::istringstream header(line);
-    if (!(header >> options.period >> options.num_periods >>
-          options.num_recent >> options.max_tau >> options.tau_stride)) {
+    size_t* const fields[] = {&options.period, &options.num_periods,
+                              &options.num_recent, &options.max_tau,
+                              &options.tau_stride};
+    size_t parsed = 0;
+    std::string token;
+    while (header >> token) {
+      if (parsed == std::size(fields) || !ParseSize(token, fields[parsed])) {
+        return Status::InvalidArgument("malformed model header: " + path);
+      }
+      ++parsed;
+    }
+    if (parsed != std::size(fields)) {
       return Status::InvalidArgument("malformed model header: " + path);
     }
   }
@@ -317,39 +341,58 @@ StatusOr<SparPredictor> SparPredictor::LoadFromFile(const std::string& path) {
       options.tau_stride < 1) {
     return Status::InvalidArgument("invalid model options: " + path);
   }
+  // n * T + m + 1 (MinHistory) and the row width n + m must not wrap.
+  const size_t n = options.num_periods;
+  const size_t m = options.num_recent;
+  if (n > (std::numeric_limits<size_t>::max() - m - 1) / options.period) {
+    return Status::InvalidArgument("invalid model options: " + path);
+  }
+  const size_t cols = n + m;
+  const size_t stride = options.tau_stride;
+  const size_t fitted = (options.max_tau - 1) / stride + 1;
+  // The rows list the fitted taus 1, 1 + stride, ... in order, one each,
+  // and the table grows only as they are read, so a header alone cannot
+  // ask for memory.
   SparPredictor model(options);
-  model.coefficients_.assign(options.max_tau, {});
-  const size_t cols = options.num_periods + options.num_recent;
   std::string line;
-  size_t loaded = 0;
   while (std::getline(in, line)) {
     if (line.empty()) continue;
     std::istringstream row(line);
+    std::string token;
+    row >> token;
     size_t tau = 0;
-    if (!(row >> tau) || tau < 1 || tau > options.max_tau) {
+    if (!ParseSize(token, &tau)) {
       return Status::InvalidArgument("malformed coefficient row: " + path);
     }
+    const size_t loaded = model.coefficients_.size();
+    if (loaded == fitted) {
+      return Status::InvalidArgument("coefficients past the last fitted tau " +
+                                     std::to_string(1 + (fitted - 1) * stride) +
+                                     " in " + path);
+    }
+    if (tau != 1 + loaded * stride) {
+      return MissingTau(1 + loaded * stride, path);
+    }
     std::vector<double> coef;
-    coef.reserve(cols);
-    std::string token;
-    while (row >> token) {
-      coef.push_back(std::strtod(token.c_str(), nullptr));
+    while (coef.size() <= cols && row >> token) {
+      char* end = nullptr;
+      const double value = std::strtod(token.c_str(), &end);
+      if (end == token.c_str() || *end != '\0' || !std::isfinite(value)) {
+        return Status::InvalidArgument("malformed coefficient '" + token +
+                                       "' in " + path);
+      }
+      coef.push_back(value);
     }
     if (coef.size() != cols) {
       return Status::InvalidArgument("coefficient count mismatch in " + path);
     }
-    model.coefficients_[tau - 1] = std::move(coef);
-    ++loaded;
+    model.coefficients_.push_back(std::move(coef));
   }
-  if (loaded == 0) {
+  if (model.coefficients_.empty()) {
     return Status::InvalidArgument("model file has no coefficients: " + path);
   }
-  // Every stride-aligned tau must be present.
-  for (size_t tau = 1; tau <= options.max_tau; tau += options.tau_stride) {
-    if (model.coefficients_[tau - 1].empty()) {
-      return Status::InvalidArgument("missing coefficients for tau " +
-                                     std::to_string(tau) + " in " + path);
-    }
+  if (model.coefficients_.size() < fitted) {
+    return MissingTau(1 + model.coefficients_.size() * stride, path);
   }
   model.fitted_ = true;
   return model;
@@ -358,7 +401,7 @@ StatusOr<SparPredictor> SparPredictor::LoadFromFile(const std::string& path) {
 const std::vector<double>& SparPredictor::CoefficientsFor(size_t tau) const {
   PSTORE_CHECK(fitted_);
   PSTORE_CHECK(tau >= 1 && tau <= options_.max_tau);
-  return coefficients_[FittedTauFor(tau) - 1];
+  return coefficients_[FittedIndexFor(tau)];
 }
 
 }  // namespace pstore

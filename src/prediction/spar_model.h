@@ -71,14 +71,14 @@ class SparPredictor : public LoadPredictor {
   static StatusOr<SparPredictor> LoadFromFile(const std::string& path);
 
  private:
-  // The tau whose coefficients were actually fitted that is nearest to
-  // the requested one (identity when tau_stride == 1).
-  size_t FittedTauFor(size_t tau) const;
+  // The index in coefficients_ of the fitted tau nearest to the
+  // requested one (tau - 1 when tau_stride == 1).
+  size_t FittedIndexFor(size_t tau) const;
 
   SparOptions options_;
   bool fitted_ = false;
-  // coefficients_[tau - 1] holds [a_1..a_n, b_1..b_m] for that tau;
-  // empty for taus skipped by tau_stride.
+  // coefficients_[q] holds [a_1..a_n, b_1..b_m] for the q-th fitted tau,
+  // 1 + q * tau_stride.
   std::vector<std::vector<double>> coefficients_;
 };
 

@@ -160,6 +160,21 @@ TEST(SparTest, CoefficientsExposedPerTau) {
   EXPECT_EQ(c3.size(), 3u + 6u);
 }
 
+// The coefficient table holds one entry per fitted tau, so a stride as
+// wide as a huge max_tau fits one tau and serves every tau from it. A
+// table of max_tau entries threw std::bad_alloc here.
+TEST(SparTest, TableHoldsOnlyTheFittedTaus) {
+  SparOptions options = SmallSpar(100000000000000);
+  options.tau_stride = 100000000000000;
+  SparPredictor spar(options);
+  const TimeSeries series = PeriodicSeries(10, 0.01, 2);
+  ASSERT_TRUE(spar.Fit(series).ok());
+  EXPECT_EQ(spar.CoefficientsFor(40), spar.CoefficientsFor(1));
+  const StatusOr<double> prediction = spar.PredictAhead(series, 40);
+  ASSERT_TRUE(prediction.ok()) << prediction.status().ToString();
+  EXPECT_GT(*prediction, 0.0);
+}
+
 // SPAR's PredictHorizon computes the recent offsets once per call. It
 // must return exactly what the base class's PredictAhead loop returns:
 // the same doubles, or the same Status code and message.

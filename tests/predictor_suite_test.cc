@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <utility>
@@ -169,6 +170,69 @@ TEST(PredictorSpecTest, RegistryBuildsEveryKind) {
         (*made)->PredictAhead(series, 1);
     ASSERT_TRUE(prediction.ok()) << kind;
     EXPECT_GT(*prediction, 0.0) << kind;
+  }
+}
+
+// A factor left out is grid-searched; one given must be a weight in
+// [0, 1]. hw(alpha=2) used to build and run.
+TEST(PredictorSpecTest, RejectsHoltWintersFactorsOutsideUnitInterval) {
+  const PredictorContext context = SmallContext();
+  for (const std::string param : {"alpha", "beta", "gamma"}) {
+    for (const std::string value :
+         {"2", "-0.1", "1.0000001", "-1", "nan", "inf", "-inf"}) {
+      const std::string spec = "hw(" + param + "=" + value + ")";
+      const StatusOr<std::unique_ptr<LoadPredictor>> made =
+          MakePredictor(spec, context);
+      ASSERT_FALSE(made.ok()) << spec;
+      EXPECT_EQ(made.status().code(), StatusCode::kInvalidArgument) << spec;
+      EXPECT_NE(made.status().message().find(param), std::string::npos)
+          << spec << ": " << made.status().ToString();
+    }
+    for (const std::string value : {"0", "0.5", "1"}) {
+      EXPECT_TRUE(
+          MakePredictor("holt_winters(" + param + "=" + value + ")", context)
+              .ok())
+          << param << "=" << value;
+    }
+  }
+}
+
+// A forecast's exact bits ("%a"), or its error.
+std::string ForecastText(const StatusOr<double>& forecast) {
+  if (!forecast.ok()) return forecast.status().ToString();
+  char text[32];
+  std::snprintf(text, sizeof(text), "%a", *forecast);
+  return text;
+}
+
+// OnlinePredictor, the shift-aware wrapper and the backtest's refit
+// epochs all assume that a failed Fit changes nothing. For every kind
+// (and the ARMA shape whose stage 2 fails after its stage 1 succeeds),
+// a refit on 12 slots that fails must leave every forecast's bits as
+// they were.
+TEST(PredictorSpecTest, FailedRefitKeepsForecasts) {
+  PredictorContext context = SmallContext();
+  context.max_tau = 30;
+  const TimeSeries good = PeriodicSeries(10, 0.01, 3);
+  const TimeSeries too_short = good.Slice(0, 12);
+  std::vector<std::string> specs = RegisteredPredictorKinds();
+  specs.push_back("arma(p=2,q=3,long_ar=5)");
+  for (const std::string& spec : specs) {
+    StatusOr<std::unique_ptr<LoadPredictor>> made =
+        MakePredictor(spec, context);
+    ASSERT_TRUE(made.ok()) << spec << ": " << made.status().ToString();
+    LoadPredictor& model = **made;
+    ASSERT_TRUE(model.Fit(good).ok()) << spec;
+    std::vector<std::string> before;
+    for (const size_t tau : {1, 3, 30}) {
+      before.push_back(ForecastText(model.PredictAhead(good, tau)));
+    }
+    if (model.Fit(too_short).ok()) continue;
+    size_t i = 0;
+    for (const size_t tau : {1, 3, 30}) {
+      EXPECT_EQ(ForecastText(model.PredictAhead(good, tau)), before[i++])
+          << spec << " tau " << tau;
+    }
   }
 }
 

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <vector>
 
@@ -71,30 +72,67 @@ TEST(ZipfTest, KeysStayInRange) {
   }
 }
 
-TEST(ZipfTest, GuideTableMatchesFullBinarySearch) {
-  // The guide table only narrows the search: every rank must be the plain
-  // lower_bound over the whole CDF, so the key stream cannot move.
-  for (const uint64_t n : {uint64_t{10}, uint64_t{300007}}) {
-    for (const double theta : {0.0, 0.6, 0.99, 1.2}) {
-      const ZipfGenerator zipf(n, theta);
-      const std::vector<double>& cdf = zipf.cdf();
-      const auto full_search = [&cdf](double u) {
-        return static_cast<uint64_t>(
-            std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
-      };
-      for (const double value : cdf) {
-        for (const double u : {std::nextafter(value, 0.0), value,
-                               std::nextafter(value, 1.0)}) {
-          ASSERT_EQ(zipf.RankOf(u), full_search(u))
-              << "n=" << n << " theta=" << theta << " u=" << u;
-        }
+// The CDF as one plain loop computes it: the running sum of
+// 1 / (r+1)^theta, then every entry divided by the total.
+std::vector<double> ReferenceCdf(uint64_t n, double theta) {
+  std::vector<double> cdf(n);
+  double sum = 0.0;
+  for (uint64_t r = 0; r < n; ++r) {
+    sum += 1.0 / std::pow(static_cast<double>(r + 1), theta);
+    cdf[r] = sum;
+  }
+  for (double& v : cdf) v /= sum;
+  return cdf;
+}
+
+uint64_t FullSearch(const std::vector<double>& cdf, double u) {
+  return static_cast<uint64_t>(std::lower_bound(cdf.begin(), cdf.end(), u) -
+                               cdf.begin());
+}
+
+TEST(ZipfTest, CertifiedRankMatchesFullBinarySearch) {
+  // The model only proposes and certifies: every rank must be the plain
+  // lower_bound over the whole CDF, whose bits must not move, so the key
+  // stream cannot move. A CDF entry and its two neighbours straddle a
+  // rank boundary, where the certificate must decline and the search
+  // decide; n = 1, 2, 10 and 257 never leave the search's head.
+  struct Case {
+    uint64_t n;
+    double theta;
+  };
+  std::vector<Case> cases;
+  for (const uint64_t n : {uint64_t{1}, uint64_t{2}, uint64_t{10},
+                           uint64_t{257}, uint64_t{300007}}) {
+    for (const double theta : {0.0, 0.3, 0.6, 0.99, 1.0, 1.1, 1.3, 2.0, 5.0}) {
+      cases.push_back({n, theta});
+    }
+  }
+  cases.push_back({1000000, 0.6});
+  for (const Case& c : cases) {
+    const ZipfGenerator zipf(c.n, c.theta);
+    const std::vector<double>& cdf = zipf.cdf();
+    const std::vector<double> reference = ReferenceCdf(c.n, c.theta);
+    ASSERT_EQ(cdf.size(), reference.size());
+    ASSERT_EQ(std::memcmp(cdf.data(), reference.data(),
+                          cdf.size() * sizeof(double)),
+              0)
+        << "n=" << c.n << " theta=" << c.theta;
+    for (const double value : cdf) {
+      for (const double u : {std::nextafter(value, 0.0), value,
+                             std::nextafter(value, 1.0)}) {
+        ASSERT_EQ(zipf.RankOf(u), FullSearch(cdf, u))
+            << "n=" << c.n << " theta=" << c.theta << " u=" << u;
       }
-      Rng rng(9);
-      Rng replay(9);
-      for (int i = 0; i < 1000000; ++i) {
-        ASSERT_EQ(zipf.NextRank(rng), full_search(replay.NextDouble()))
-            << "n=" << n << " theta=" << theta << " draw " << i;
-      }
+    }
+    for (const double u : {0.0, 1.0}) {
+      ASSERT_EQ(zipf.RankOf(u), FullSearch(cdf, u))
+          << "n=" << c.n << " theta=" << c.theta << " u=" << u;
+    }
+    Rng rng(9);
+    Rng replay(9);
+    for (int i = 0; i < 200000; ++i) {
+      ASSERT_EQ(zipf.NextRank(rng), FullSearch(cdf, replay.NextDouble()))
+          << "n=" << c.n << " theta=" << c.theta << " draw " << i;
     }
   }
 }
@@ -135,6 +173,57 @@ TEST(YcsbWorkloadTest, MixProportions) {
   EXPECT_NEAR(counts[kRead] / static_cast<double>(n), 0.5, 0.02);
   EXPECT_NEAR(counts[kUpdate] / static_cast<double>(n), 0.48, 0.02);
   EXPECT_NEAR(counts[kInsert] / static_cast<double>(n), 0.02, 0.01);
+}
+
+// ycsb_skew_32n's generator (mix A, theta 0.6, 10% two-key transfers,
+// 1 M records), replayed from the same Rng sequence with every rank taken
+// by a full lower_bound over the CDF: every request must match.
+TEST(YcsbWorkloadTest, SkewedStreamMatchesFullSearchReplay) {
+  YcsbWorkloadOptions options;
+  options.mix = Mix::kA;
+  options.zipf_theta = 0.6;
+  options.multi_key_fraction = 0.10;
+  options.record_count = 1000000;
+  Workload workload(options);
+  const ZipfGenerator zipf(options.record_count, options.zipf_theta);
+  const auto next_index = [&](Rng& rng) {
+    const uint64_t rank = FullSearch(zipf.cdf(), rng.NextDouble());
+    return (rank * 0x9e3779b97f4a7c15ULL) % options.record_count;
+  };
+  Rng rng(42);
+  Rng replay(42);
+  uint64_t insert_cursor = 0;
+  for (int i = 0; i < 1000000; ++i) {
+    const TxnRequest got = workload.NextTransaction(rng);
+    TxnRequest want;
+    want.arg = static_cast<uint32_t>(replay.NextUint64(1 << 16));
+    if (replay.NextBool(options.multi_key_fraction)) {
+      want.procedure = kMultiTransfer;
+      want.key = UserKey(next_index(replay));
+      want.num_extra_keys = 1;
+      uint64_t other = next_index(replay);
+      if (UserKey(other) == want.key) {
+        other = (other + 1) % options.record_count;
+      }
+      want.extra_keys[0] = UserKey(other);
+    } else {
+      const double roll = replay.NextDouble();
+      want.procedure = roll < 0.5 ? kRead : kUpdate;
+      if (roll > 0.98) {
+        want.procedure = kInsert;
+        want.key = UserKey(insert_cursor);
+        insert_cursor = (insert_cursor + 1) % options.record_count;
+        want.arg = options.record_bytes;
+      } else {
+        want.key = UserKey(next_index(replay));
+      }
+    }
+    ASSERT_EQ(got.procedure, want.procedure) << "request " << i;
+    ASSERT_EQ(got.key, want.key) << "request " << i;
+    ASSERT_EQ(got.arg, want.arg) << "request " << i;
+    ASSERT_EQ(got.num_extra_keys, want.num_extra_keys) << "request " << i;
+    ASSERT_EQ(got.extra_keys[0], want.extra_keys[0]) << "request " << i;
+  }
 }
 
 TEST(YcsbWorkloadTest, ProceduresExecute) {
